@@ -179,18 +179,35 @@ def dump_taps(realization: ChannelRealization, path) -> None:
 
 
 def load_taps(path) -> np.ndarray:
-    """Read a tap table written by :func:`dump_taps` back into (M, K, L) form."""
+    """Read a tap table written by :func:`dump_taps` back into (M, K, L) form.
+
+    Every (m, k, l) index must be a finite non-negative integer, and the rows
+    must cover the index grid exactly once; a dump that breaks this is
+    rejected rather than loaded with taps silently overwritten or zeroed.
+    """
     raw = np.fromfile(path, dtype="<f8")
     if raw.size == 0 or raw.size % 5 != 0:
         raise ValueError("malformed tap dump: row count not a multiple of 5 floats")
     table = raw.reshape(-1, 5)
-    dims = table[:, :3].max(axis=0).astype(int) + 1
-    m_ant, k_usr, length = dims
-    if table.shape[0] != m_ant * k_usr * length:
+    rows = table.shape[0]
+    index = table[:, :3]
+    if not np.all(np.isfinite(index)):
+        raise ValueError("malformed tap dump: non-finite index")
+    if np.any(index != np.floor(index)):
+        raise ValueError("malformed tap dump: fractional index")
+    if np.any(index < 0):
+        raise ValueError("malformed tap dump: negative index")
+    # Checked before the integer cast, which a huge value would overflow; no
+    # dimension of a complete grid can exceed the row count anyway.
+    if np.any(index >= rows):
+        raise ValueError("malformed tap dump: index out of range for the row count")
+    m_i, k_i, l_i = index.astype(np.int64).T
+    m_ant, k_usr, length = int(m_i.max()) + 1, int(k_i.max()) + 1, int(l_i.max()) + 1
+    if rows != m_ant * k_usr * length:
         raise ValueError("malformed tap dump: incomplete index grid")
+    flat = np.ravel_multi_index((m_i, k_i, l_i), (m_ant, k_usr, length))
+    if np.unique(flat).size != rows:
+        raise ValueError("malformed tap dump: duplicate index")
     taps = np.zeros((m_ant, k_usr, length), dtype=np.complex128)
-    m_i = table[:, 0].astype(int)
-    k_i = table[:, 1].astype(int)
-    l_i = table[:, 2].astype(int)
     taps[m_i, k_i, l_i] = table[:, 3] + 1j * table[:, 4]
     return taps

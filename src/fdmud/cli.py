@@ -184,11 +184,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
     report = run_monte_carlo(scenario)
     print(f"{'snr_db':>8} {'detector':>12} {'out_sinr_db':>12} {'gain_db':>9} "
-          f"{'low_db':>8} {'high_db':>8} {'frames':>7}")
+          f"{'low_db':>8} {'high_db':>8} {'frames':>7} {'failed':>7}")
     for row in report.rows:
         print(
             f"{row.input_snr_db:8.1f} {row.detector.value:>12} {row.mean_output_sinr_db:12.3f} "
-            f"{row.gain_db:9.3f} {row.gain_low_db:8.3f} {row.gain_high_db:8.3f} {row.n_frames:7d}"
+            f"{row.gain_db:9.3f} {row.gain_low_db:8.3f} {row.gain_high_db:8.3f} {row.n_frames:7d} "
+            f"{row.n_failures:7d}"
         )
     if scenario.output:
         print(f"wrote {scenario.output}")

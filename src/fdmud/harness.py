@@ -3,8 +3,10 @@
 The complexity model counts complex multiplies per frequency bin for the two
 MMSE formulations under the standard costing rules: a P x P inversion is P^3
 multiplies, a matrix product costs outer-times-inner, and extracting the
-diagonal of a product costs inner-times-outer.  Complexity is modeled, never
-measured.
+diagonal of a product costs inner-times-outer.  These counts are a model;
+the repository benchmark (``benchmarks/run.py --trace 1``) reports the
+measured MMSE / MRC-MMSE wall-time ratio beside them as
+``detect.ratio_measured.<M>x<K>``.
 
 SINR is measured genie-aided: the detectors are unbiased, the transmitted
 symbols have unit energy, so per-user SINR is the reciprocal of the mean
@@ -24,7 +26,7 @@ import numpy as np
 from .channel import ChannelConfig, draw_channel, to_bin_channels
 from .detect import DetectionResult, DetectorKind, detect_frame
 from .frame import FrameConfig, SymbolFrame, generate_symbols, to_frequency_domain, transmit
-from .numerics import SingularMatrixError
+from .numerics import DegenerateScaleError, SingularMatrixError
 
 __all__ = [
     "ScenarioConfig",
@@ -186,6 +188,7 @@ class SinrReport:
                 "gain_low_db",
                 "gain_high_db",
                 "n_frames",
+                "n_failures",
             ]
         )
         for r in self.rows:
@@ -198,6 +201,7 @@ class SinrReport:
                     f"{r.gain_low_db:.6f}",
                     f"{r.gain_high_db:.6f}",
                     r.n_frames,
+                    r.n_failures,
                 ]
             )
         text = buf.getvalue()
@@ -219,8 +223,10 @@ def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
     transmit with noise, and run each requested detector on the same received
     frame.  All randomness is keyed by (seed, point index, frame index), so
     identical configs produce byte-identical CSV output regardless of
-    execution order.  Frames on which a detector fails are excluded from that
-    detector's average and counted.
+    execution order.  Frames on which a detector fails (a singular bin, or a
+    zero-power channel column for the diagonally unbiased detectors) are
+    excluded from that detector's average and counted in its ``n_failures``;
+    the sweep goes on.
     """
     m_ant = cfg.channel.num_antennas
     k_usr = cfg.channel.num_users
@@ -246,7 +252,7 @@ def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
             for kind in cfg.detectors:
                 try:
                     result = detect_frame(rf, bins, sigma_w2, kind)
-                except SingularMatrixError:
+                except (SingularMatrixError, DegenerateScaleError):
                     failures[kind] += 1
                     continue
                 sinr_acc[kind].append(measure_sinr(result, sf))

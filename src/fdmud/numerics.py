@@ -40,7 +40,15 @@ ELEM_INVERSE_FLOOR = 1e-300
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """Hermitian factorization hit a non-positive pivot."""
+    """Hermitian factorization hit a non-positive pivot.
+
+    ``index`` is the flat position of the failing slice in the stack that was
+    factorized (0 for a single matrix).
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class DegenerateScaleError(ValueError):
@@ -88,57 +96,85 @@ def dft_unnormalized(v) -> np.ndarray:
     return np.fft.fft(_as_vector(v))
 
 
-def _cho_factor_checked(m) -> tuple:
-    m = _as_matrix(m, "m")
-    if m.shape[0] != m.shape[1]:
+def _check_hermitian(m) -> np.ndarray:
+    """Validate a square matrix, or a stack of them, as finite and Hermitian.
+
+    Each slice is held to ``HERMITIAN_TOL`` relative to its own largest
+    magnitude entry, so a large slice cannot mask a small one's asymmetry.
+    """
+    m = np.asarray(m)
+    if m.ndim < 2 or m.size == 0:
+        raise ValueError(f"m must be a nonempty matrix or stack of matrices, got shape {m.shape}")
+    if m.shape[-1] != m.shape[-2]:
         raise ValueError(f"m must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("m must have finite entries")
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.conj().T).max() > HERMITIAN_TOL * scale:
-        raise ValueError("m is not Hermitian within tolerance")
-    try:
-        return scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"Cholesky factorization failed: {exc}") from exc
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    skew = np.abs(m - np.swapaxes(m, -2, -1).conj()).max(axis=(-2, -1))
+    bad = np.flatnonzero(skew > HERMITIAN_TOL * scale)
+    if bad.size:
+        raise ValueError(f"slice {bad[0]}: m is not Hermitian within tolerance")
+    return m
 
 
 def solve_hpd(m, b) -> np.ndarray:
-    """Solve ``m @ x = b`` for Hermitian positive-definite ``m`` via Cholesky.
+    """Solve ``m @ x = b`` for one Hermitian positive-definite ``m`` via Cholesky.
 
     Substantially more accurate than multiplying by :func:`invert_hpd` when
     ``m`` is near-singular but ``b`` lies in its well-conditioned range.
     Raises the same errors as :func:`invert_hpd`.
     """
-    factor = _cho_factor_checked(m)
+    m = _check_hermitian(_as_matrix(m, "m"))
+    try:
+        factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"Cholesky factorization failed: {exc}") from exc
     return scipy.linalg.cho_solve(factor, np.asarray(b), check_finite=False)
 
 
 def invert_hpd(m) -> np.ndarray:
-    """Invert a Hermitian positive-definite matrix via Cholesky factorization.
+    """Invert Hermitian positive-definite matrices via Cholesky factorization.
 
     Parameters
     ----------
     m : array_like
-        Square matrix, Hermitian within ``HERMITIAN_TOL`` relative to its
-        largest magnitude entry.
+        A square matrix, or a stack of them with shape ``(..., P, P)``; a
+        2-D input is the one-slice case.  Each slice must be Hermitian within
+        ``HERMITIAN_TOL`` relative to its own largest magnitude entry.
 
     Returns
     -------
     numpy.ndarray
-        The inverse, re-symmetrized so it is exactly Hermitian.
+        The inverses, same shape as ``m``, re-symmetrized so each is exactly
+        Hermitian.
 
     Raises
     ------
     ValueError
-        If the input is not square/finite/Hermitian.
+        If the input is not square/finite/Hermitian; the message names the
+        first offending slice.
     SingularMatrixError
-        If the factorization fails (matrix not positive definite).
+        If a factorization fails (slice not positive definite).  ``index``
+        holds the flat position of the first failing slice.
     """
-    factor = _cho_factor_checked(m)
-    inv = scipy.linalg.cho_solve(factor, np.eye(factor[0].shape[0]), check_finite=False)
-    # cho_solve output is Hermitian only to rounding; make it exact.
-    return 0.5 * (inv + inv.conj().T)
+    m = _check_hermitian(m)
+    try:
+        low = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        # Cold path: the stacked call does not say which slice failed.
+        for idx, piece in enumerate(m.reshape(-1, *m.shape[-2:])):
+            try:
+                np.linalg.cholesky(piece)
+            except np.linalg.LinAlgError:
+                raise SingularMatrixError(
+                    f"slice {idx}: Cholesky factorization failed (not positive definite)",
+                    index=idx,
+                ) from exc
+        raise
+    low_inv = np.linalg.inv(low)
+    inv = np.swapaxes(low_inv, -2, -1).conj() @ low_inv  # L^-H L^-1
+    # The product is Hermitian only to rounding; make it exact.
+    return 0.5 * (inv + np.swapaxes(inv, -2, -1).conj())
 
 
 def matmul(a, b) -> np.ndarray:
@@ -165,14 +201,16 @@ def conj(a) -> np.ndarray:
 def diag_of_product(a, b) -> np.ndarray:
     """Diagonal of ``a @ b`` computed without forming the full product.
 
-    ``a`` must be (p, q) and ``b`` (q, p); the result has length p and
-    ``diag_of_product(a, b)[i] == (a @ b)[i, i]``.
+    ``a`` must be (..., p, q) and ``b`` (..., q, p) with the same leading
+    shape; the result has shape (..., p) and
+    ``diag_of_product(a, b)[..., i] == (a @ b)[..., i, i]``.  Operands are
+    not copied, so passing a transposed view costs no memory.
     """
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0] or a.shape[0] != b.shape[1]:
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-2:] != b.shape[:-3:-1]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return np.einsum("ij,ji->i", a, b)
+    return np.einsum("...ij,...ji->...i", a, b)
 
 
 def elem_inverse(v) -> np.ndarray:

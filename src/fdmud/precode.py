@@ -2,10 +2,14 @@
 
 In a TDD system the downlink per-bin inverse ``(A^T A^* + sigma_w2 I)^-1`` is
 the entry-wise complex conjugate of the uplink inverse already computed by
-the MRC-MMSE detector, so precoding can reuse the cached uplink inverses at
-the cost of a conjugation.  Per-user unbiasing scalars mirror the uplink
+the MRC-MMSE detector.  Per-user unbiasing scalars mirror the uplink
 convention: the noiseless end-to-end gain of each user is unity before the
-per-user amplitude allocation is applied.
+per-user amplitude allocation is applied, and they equal the uplink
+MRC-MMSE unbiasing coefficients.  So precoding from an
+:class:`~fdmud.detect.InverseCache` costs a conjugation and forms no
+downlink Gram at all.  The direct path forms its own Gram stack and inverts
+it with one stacked call; its agreement with the cache path is the
+cross-check the test suite runs.
 
 Only the precoder algebra lives here; end-to-end downlink performance
 evaluation is out of scope.
@@ -127,8 +131,11 @@ def precode_frame(
 
     Symbols are transformed per user with the unitary DFT and each bin is
     precoded independently.  When ``cache`` is given, the downlink inverses
-    are its conjugated entries; otherwise they are computed directly.  Both
-    paths agree to rounding, which the test suite checks.
+    are its conjugated entries and the unbiasing scalars its ``unbias``;
+    otherwise both are computed directly from the downlink Gram.  Both paths
+    agree to rounding, which the test suite checks.  On the direct path a
+    singular bin raises :class:`~fdmud.numerics.SingularMatrixError` naming
+    the bin.
 
     No transmit sum-power renormalization is applied; callers wanting a power
     diagnostic can take ``norm(x)**2`` themselves.
@@ -144,26 +151,30 @@ def precode_frame(
         raise ValueError(f"power allocation has {power.p_sqrt.size} entries, need {k_usr}")
 
     s_fd = np.fft.fft(symbols, axis=1, norm="ortho").T  # (N, K)
-    gram_dl = np.matmul(a.transpose(0, 2, 1), a.conj())  # (N, K, K): A^T A^*
 
+    dl_inv = beta = None
     if cache is not None:
         if cache.inv.shape != (n_bins, k_usr, k_usr):
-            raise ValueError(f"cache shape {cache.inv.shape} does not match {( n_bins, k_usr, k_usr)}")
+            raise ValueError(f"cache shape {cache.inv.shape} does not match {(n_bins, k_usr, k_usr)}")
         if not np.isclose(cache.sigma_w2, sigma_w2):
             raise ValueError(
                 f"cache was built for sigma_w2={cache.sigma_w2}, precoder asked for {sigma_w2}"
             )
         dl_inv = np.conj(cache.inv)
-    else:
-        dl_inv = np.empty_like(gram_dl)
-        eye = sigma_w2 * np.eye(k_usr)
-        for idx in range(n_bins):
+        beta = cache.unbias
+    if beta is None:  # direct path, or a cache built without the uplink unbias
+        gram_dl = np.matmul(a.transpose(0, 2, 1), a.conj())  # (N, K, K): A^T A^*
+        if dl_inv is None:
             try:
-                dl_inv[idx] = invert_hpd(gram_dl[idx] + eye)
+                dl_inv = invert_hpd(gram_dl + sigma_w2 * np.eye(k_usr))
             except SingularMatrixError as exc:
-                raise SingularMatrixError(f"bin {idx}: {exc}") from exc
-
-    beta = 1.0 / np.einsum("nij,nji->ni", gram_dl, dl_inv).real  # (N, K)
+                raise SingularMatrixError(
+                    f"bin {exc.index}: Cholesky factorization failed (not positive definite)",
+                    index=exc.index,
+                ) from exc
+        beta = 1.0 / diag_of_product(gram_dl, dl_inv).real  # (N, K)
     scaled = power.p_sqrt[np.newaxis, :] * beta * s_fd
-    x = np.matmul(a.conj(), np.matmul(dl_inv, scaled[:, :, np.newaxis]))[..., 0]  # (N, M)
+    v = np.matmul(dl_inv, scaled[:, :, np.newaxis])  # (N, K, 1)
+    # A^* v as conj(A conj(v)): the same products, without a conjugated copy of A.
+    x = np.matmul(a, v.conj()).conj()[..., 0]  # (N, M)
     return PrecodeResult(x=x.T, beta_used=beta.T)

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from fdmud.channel import ChannelConfig, build_circulant, draw_channel, to_bin_channels
 from fdmud.detect import (
     DetectorKind,
+    InverseCache,
     detect_frame,
     highsnr_bin,
     lowsnr_bin,
@@ -270,6 +271,22 @@ class TestDetectFrame:
             gram = bins.a[idx].conj().T @ bins.a[idx]
             assert np.abs(inv @ (gram + fc.sigma_w2 * eye) - eye).max() <= 1e-9
 
+    def test_cache_unbias_matches_per_bin_oracle(self):
+        _, bins, fc, _, rf = small_scenario(seed=13, snr_db=-6.0)
+        cache = detect_frame(rf, bins, fc.sigma_w2, DetectorKind.MRC_MMSE).cache
+        n, _, k = bins.a.shape
+        assert cache.unbias.shape == (n, k)
+        assert cache.unbias.dtype.kind == "f"
+        for idx in range(n):
+            gram = bins.a[idx].conj().T @ bins.a[idx]
+            inv = np.linalg.inv(gram + fc.sigma_w2 * np.eye(k))
+            expected = 1.0 / np.diag(inv @ gram)
+            assert np.abs(cache.unbias[idx] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_cache_unbias_shape_checked(self):
+        with pytest.raises(ValueError, match="unbias"):
+            InverseCache(inv=np.tile(np.eye(2), (3, 1, 1)), sigma_w2=0.1, unbias=np.ones((3, 3)))
+
     def test_other_kinds_have_no_cache(self):
         _, bins, fc, _, rf = small_scenario(seed=9)
         assert detect_frame(rf, bins, fc.sigma_w2, DetectorKind.TR_MRC).cache is None
@@ -289,6 +306,16 @@ class TestDetectFrame:
         rf = ReceivedFrame(samples=crandn(rng, 4, 8), domain="frequency")
         with pytest.raises(SingularMatrixError, match="bin 5"):
             detect_frame(rf, BinChannel(a=a), 0.0, DetectorKind.HIGH_SNR_ZF)
+
+    @pytest.mark.parametrize("kind", [DetectorKind.TR_MRC, DetectorKind.LOW_SNR])
+    def test_zero_power_column_error_names_the_bin(self, rng, kind):
+        from fdmud.channel import BinChannel
+
+        a = np.tile(crandn(rng, 4, 2), (8, 1, 1))
+        a[3, :, 0] = 0.0
+        rf = ReceivedFrame(samples=crandn(rng, 4, 8), domain="frequency")
+        with pytest.raises(DegenerateScaleError, match="bin 3"):
+            detect_frame(rf, BinChannel(a=a), 0.1, kind)
 
     def test_zero_sigma_rejected_for_mmse_kinds(self):
         _, bins, fc, _, rf = small_scenario(seed=2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fdmud import harness
 from fdmud.channel import ChannelConfig
 from fdmud.detect import DetectionResult, DetectorKind
 from fdmud.frame import FrameConfig, SymbolFrame
@@ -14,6 +15,7 @@ from fdmud.harness import (
     run_monte_carlo,
     theoretical_gains,
 )
+from fdmud.numerics import DegenerateScaleError
 
 
 def itemized_mmse(m, k):
@@ -228,8 +230,31 @@ class TestRunMonteCarlo:
             "gain_low_db",
             "gain_high_db",
             "n_frames",
+            "n_failures",
         ]
         assert len(lines) == 1 + 4
+        assert all(line.endswith(",3,0") for line in lines[1:])
+
+    def test_degenerate_frame_counted_not_raised(self, monkeypatch, tmp_path):
+        # a zero-power column fails TR-MRC on every frame; the sweep goes on
+        original = harness.detect_frame
+
+        def detect_frame(rf, bins, sigma_w2, kind):
+            if kind is DetectorKind.TR_MRC:
+                raise DegenerateScaleError("bin 0: zero-power channel column")
+            return original(rf, bins, sigma_w2, kind)
+
+        monkeypatch.setattr(harness, "detect_frame", detect_frame)
+        out = tmp_path / "sinr.csv"
+        report = run_monte_carlo(tiny_scenario(output=str(out)))
+        for row in report.rows:
+            if row.detector is DetectorKind.TR_MRC:
+                assert (row.n_frames, row.n_failures) == (0, 3)
+                assert np.isnan(row.mean_output_sinr_db)
+            else:
+                assert (row.n_frames, row.n_failures) == (3, 0)
+        lines = [l for l in out.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
+        assert sorted(l.split(",")[-1] for l in lines[1:]) == ["0", "0", "3", "3"]
 
     def test_mmse_and_mrcmmse_rows_indistinguishable(self):
         cfg = tiny_scenario(detectors=(DetectorKind.MMSE, DetectorKind.MRC_MMSE))

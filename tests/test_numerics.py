@@ -120,6 +120,60 @@ class TestInvertHpd:
             invert_hpd(m)
 
 
+def hpd_stack(rng, *lead, dim=5):
+    """Well-conditioned HPD matrices of shape (*lead, dim, dim), scales 1e-3..1e3."""
+    a = crandn(rng, *lead, dim + 3, dim)
+    gram = np.swapaxes(a, -2, -1).conj() @ a + np.eye(dim)
+    return gram * 10.0 ** rng.uniform(-3, 3, size=(*lead, 1, 1))
+
+
+class TestInvertHpdStack:
+    @pytest.mark.parametrize("lead", [(1,), (7,), (3, 4)])
+    def test_matches_per_slice(self, rng, lead):
+        stack = hpd_stack(rng, *lead)
+        inv = invert_hpd(stack)
+        assert inv.shape == stack.shape
+        for idx in np.ndindex(*lead):
+            single = invert_hpd(stack[idx])
+            assert np.abs(inv[idx] - single).max() <= 1e-12 * np.abs(single).max()
+            oracle = np.linalg.inv(stack[idx])
+            assert np.abs(inv[idx] - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+    def test_slices_exactly_hermitian(self, rng):
+        inv = invert_hpd(hpd_stack(rng, 6))
+        assert np.array_equal(inv, np.swapaxes(inv, -2, -1).conj())
+
+    @pytest.mark.parametrize("bad", [0, 3, 5])
+    def test_singular_slice_named(self, rng, bad):
+        stack = hpd_stack(rng, 6)
+        stack[bad] = np.diag([1.0, 1.0, 0.0, 1.0, 1.0])
+        with pytest.raises(SingularMatrixError, match=f"slice {bad}") as info:
+            invert_hpd(stack)
+        assert info.value.index == bad
+
+    def test_first_of_several_singular_slices_named(self, rng):
+        stack = hpd_stack(rng, 6)
+        stack[[2, 4]] = -np.eye(5)
+        with pytest.raises(SingularMatrixError, match="slice 2"):
+            invert_hpd(stack)
+
+    def test_non_hermitian_slice_rejected_at_its_own_scale(self, rng):
+        # slice 2 is tiny: its asymmetry would pass a tolerance scaled by
+        # the stack's largest entry, but not one scaled by its own
+        stack = hpd_stack(rng, 4)
+        stack[0] *= 1e6
+        stack[2] = np.eye(5)
+        stack[2, 0, 1] += 1e-8
+        with pytest.raises(ValueError, match="slice 2"):
+            invert_hpd(stack)
+
+    def test_non_finite_slice_rejected(self, rng):
+        stack = hpd_stack(rng, 3)
+        stack[1, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            invert_hpd(stack)
+
+
 class TestElementwiseOps:
     def test_diag_of_product_identity(self):
         assert_allclose(diag_of_product(np.eye(2), np.eye(2)), [1, 1])
@@ -132,6 +186,20 @@ class TestElementwiseOps:
     def test_diag_of_product_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             diag_of_product(crandn(rng, 5, 3), crandn(rng, 4, 5))
+        with pytest.raises(ValueError):
+            diag_of_product(crandn(rng, 2, 5, 3), crandn(rng, 3, 3, 5))
+
+    def test_diag_of_product_stack(self, rng):
+        a = crandn(rng, 4, 5, 3)
+        b = crandn(rng, 4, 3, 5)
+        full = a @ b
+        expected = np.stack([np.diag(full[n]) for n in range(4)])
+        assert np.abs(diag_of_product(a, b) - expected).max() <= 1e-13
+        # transposed and conjugated views work as they are
+        assert np.abs(
+            diag_of_product(np.swapaxes(a, -2, -1).conj(), a)
+            - np.stack([np.diag(a[n].conj().T @ a[n]) for n in range(4)])
+        ).max() <= 1e-13
 
     def test_hadamard(self):
         assert_allclose(hadamard([1, 2], [3, 4]), [3, 8])

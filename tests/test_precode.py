@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from fdmud.channel import BinChannel, ChannelConfig, draw_channel, to_bin_channels
 from fdmud.detect import DetectorKind, InverseCache, detect_frame
 from fdmud.frame import FrameConfig, SymbolFrame, generate_symbols, to_frequency_domain, transmit
-from fdmud.numerics import invert_hpd
+from fdmud.numerics import SingularMatrixError, invert_hpd
 from fdmud.precode import (
     PowerAllocation,
     dl_inverse_from_cache,
@@ -178,6 +178,34 @@ class TestPrecodeFrame:
         result = precode_frame(sf, bins, fc.sigma_w2)
         assert result.transmit_power == pytest.approx(np.sum(np.abs(result.x) ** 2))
         assert result.transmit_power > 0
+
+    def test_cache_without_unbias_matches_direct_path(self):
+        # a cache holding inverses alone makes the precoder form the Gram
+        _, bins, fc = self.scenario(seed=4)
+        rng = np.random.default_rng(4)
+        sf = generate_symbols(3, 32, "qpsk", rng)
+        cache = ul_cache(bins.a, fc.sigma_w2)
+        assert cache.unbias is None
+        with_cache = precode_frame(sf, bins, fc.sigma_w2, cache=cache)
+        direct = precode_frame(sf, bins, fc.sigma_w2)
+        assert np.abs(with_cache.x - direct.x).max() <= 1e-10
+        assert np.abs(with_cache.beta_used - direct.beta_used).max() <= 1e-10
+
+    def test_cache_path_uses_uplink_unbias(self):
+        ch, bins, fc = self.scenario(seed=6)
+        rng = np.random.default_rng(6)
+        sf = generate_symbols(3, 32, "qpsk", rng)
+        rf = to_frequency_domain(transmit(sf, ch, fc, rng))
+        cache = detect_frame(rf, bins, fc.sigma_w2, DetectorKind.MRC_MMSE).cache
+        result = precode_frame(sf, bins, fc.sigma_w2, cache=cache)
+        assert np.array_equal(result.beta_used, cache.unbias.T)
+
+    def test_direct_path_singular_bin_error_names_the_bin(self, rng):
+        a = np.tile(crandn(rng, 4, 2), (8, 1, 1))
+        a[6, :, 1] = 0.0  # dead user column at bin 6: exactly singular Gram
+        sf = SymbolFrame(symbols=crandn(rng, 2, 8))
+        with pytest.raises(SingularMatrixError, match="bin 6"):
+            precode_frame(sf, BinChannel(a=a), 0.0)
 
     def test_cache_noise_mismatch_rejected(self):
         ch, bins, fc = self.scenario(seed=9)
