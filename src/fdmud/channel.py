@@ -134,7 +134,10 @@ def draw_channel(config: ChannelConfig) -> ChannelRealization:
 def to_bin_channels(realization: ChannelRealization) -> BinChannel:
     """Transform a realization into its N per-bin coefficient matrices."""
     n = realization.config.frame_len
-    spectra = np.fft.fft(realization.taps, n=n, axis=2)  # == dft_unnormalized per pair
+    # Unnormalized DFT, unlike the unitary one used for signal and noise: the
+    # DFT of a zero-padded impulse response is exactly the eigenvalue set of
+    # its circulant channel matrix.
+    spectra = np.fft.fft(realization.taps, n=n, axis=2)
     return BinChannel(a=np.ascontiguousarray(spectra.transpose(2, 0, 1)))
 
 

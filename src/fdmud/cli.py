@@ -11,7 +11,8 @@ verify
 precode-check
     Precoder self-consistency suite; nonzero exit on violation.
 
-Scenario parameters come from built-in defaults, overridden by an optional
+Scenario parameters come from built-in defaults (``harness.SCENARIO_TABLE``,
+which also gives each flag its type and help), overridden by an optional
 ``key=value`` config file (one pair per line, ``#`` comments), overridden in
 turn by command-line flags of the same name.
 """
@@ -24,43 +25,8 @@ import sys
 from .channel import ChannelConfig
 from .detect import DetectorKind
 from .frame import FrameConfig
-from .harness import ScenarioConfig, complexity_sweep, run_monte_carlo
+from .harness import SCENARIO_TABLE, ScenarioConfig, complexity_sweep, run_monte_carlo
 from .verify import run_detector_checks, run_precoder_checks
-
-# One entry per scenario key; config-file keys and CLI flags share these names.
-SCENARIO_DEFAULTS = {
-    "m": 64,
-    "k": 14,
-    "n": 2048,
-    "l_h": 130,
-    "l_cp": 144,
-    "decay_samples": 25.0,
-    "power_low": 0.1,
-    "power_high": 1.9,
-    "constellation": "qpsk",
-    "snr_sweep": "-30:10:2",
-    "frames_per_point": 20,
-    "detectors": "mrc_mmse,tr_mrc",
-    "seed": 1,
-    "output": "sinr.csv",
-}
-
-_CASTS = {
-    "m": int,
-    "k": int,
-    "n": int,
-    "l_h": int,
-    "l_cp": int,
-    "decay_samples": float,
-    "power_low": float,
-    "power_high": float,
-    "constellation": str,
-    "snr_sweep": str,
-    "frames_per_point": int,
-    "detectors": str,
-    "seed": int,
-    "output": str,
-}
 
 
 def parse_config_file(path: str) -> dict:
@@ -75,9 +41,9 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
             key, _, raw = stripped.partition("=")
             key = key.strip()
-            if key not in SCENARIO_DEFAULTS:
+            if key not in SCENARIO_TABLE:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CASTS[key](raw.strip())
+            values[key] = SCENARIO_TABLE[key][1](raw.strip())
     return values
 
 
@@ -135,34 +101,11 @@ def build_scenario(values: dict) -> ScenarioConfig:
     )
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value scenario file; flags override it")
-    parser.add_argument("--m", type=int, help="base-station antenna count")
-    parser.add_argument("--k", type=int, help="user count")
-    parser.add_argument("--n", type=int, help="samples per frame")
-    parser.add_argument("--l-h", dest="l_h", type=int, help="impulse-response length")
-    parser.add_argument("--l-cp", dest="l_cp", type=int, help="cyclic-prefix length")
-    parser.add_argument("--decay-samples", dest="decay_samples", type=float,
-                        help="exponential profile constant")
-    parser.add_argument("--power-low", dest="power_low", type=float,
-                        help="lower per-antenna power bound")
-    parser.add_argument("--power-high", dest="power_high", type=float,
-                        help="upper per-antenna power bound")
-    parser.add_argument("--constellation", help="qpsk or 16qam")
-    parser.add_argument("--snr-sweep", dest="snr_sweep",
-                        help="input SNR points: start:stop:step or comma list (dB)")
-    parser.add_argument("--frames-per-point", dest="frames_per_point", type=int,
-                        help="Monte-Carlo frames per sweep point")
-    parser.add_argument("--detectors", help="comma list: mmse, mrc_mmse, tr_mrc, low_snr, high_snr_zf")
-    parser.add_argument("--seed", type=int, help="master RNG seed (default 1)")
-    parser.add_argument("--output", help="CSV output path")
-
-
 def _resolve_scenario(args: argparse.Namespace) -> ScenarioConfig:
-    values = dict(SCENARIO_DEFAULTS)
+    values = {key: row[0] for key, row in SCENARIO_TABLE.items()}
     if args.config:
         values.update(parse_config_file(args.config))
-    for key in SCENARIO_DEFAULTS:
+    for key in SCENARIO_TABLE:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
@@ -223,7 +166,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run the Monte-Carlo SNR sweep")
-    _add_scenario_flags(sim)
+    sim.add_argument("--config", help="key=value scenario file; flags override it")
+    for key, (_, cast, text) in SCENARIO_TABLE.items():
+        sim.add_argument("--" + key.replace("_", "-"), dest=key, type=cast, help=text)
     sim.set_defaults(func=_cmd_simulate)
 
     comp = sub.add_parser("complexity", help="emit per-bin complex-multiply counts")

@@ -74,6 +74,8 @@ class FrameConfig:
     snr_db: float = 0.0
 
     def __post_init__(self):
+        if np.isnan(self.snr_db):
+            raise ValueError("snr_db must not be nan")
         if self.frame_len <= 0:
             raise ValueError("frame_len must be positive")
         if not 0 <= self.cp_len <= self.frame_len:
@@ -153,6 +155,9 @@ def to_frequency_domain(rf: ReceivedFrame) -> ReceivedFrame:
     """Unitary DFT of every antenna row; noise variance is preserved."""
     if rf.domain != TIME:
         raise ValueError("frame is already in the frequency domain")
+    # Unitary (1/sqrt(N) both ways), unlike the unnormalized channel DFT: it
+    # keeps the per-sample noise variance across the domain change, and its
+    # inverse is its Hermitian transpose.
     return ReceivedFrame(samples=np.fft.fft(rf.samples, axis=1, norm="ortho"), domain=FREQUENCY)
 
 

@@ -133,6 +133,31 @@ def capacity(rho: float, bandwidth_hz: float, gamma: float) -> float:
     return rho * bandwidth_hz * float(np.log2(1.0 + gamma))
 
 
+# The scenario that ``fdmud simulate`` runs, one row per key:
+# (default, type, help).  Config-file keys, their casts and the command-line
+# flags (``--l-h`` for ``l_h``) are all derived from this table.
+SCENARIO_TABLE = {
+    "m": (64, int, "base-station antenna count"),
+    "k": (14, int, "user count"),
+    "n": (2048, int, "samples per frame"),
+    "l_h": (130, int, "impulse-response length"),
+    "l_cp": (144, int, "cyclic-prefix length"),
+    "decay_samples": (25.0, float, "exponential profile constant"),
+    "power_low": (0.1, float, "lower per-antenna power bound"),
+    "power_high": (1.9, float, "upper per-antenna power bound"),
+    "constellation": ("qpsk", str, "qpsk or 16qam"),
+    "snr_sweep": ("-30:10:2", str, "input SNR points: start:stop:step or comma list (dB)"),
+    "frames_per_point": (20, int, "Monte-Carlo frames per sweep point"),
+    "detectors": (
+        "mrc_mmse,tr_mrc",
+        str,
+        "comma list: mmse, mrc_mmse, tr_mrc, low_snr, high_snr_zf",
+    ),
+    "seed": (1, int, "master RNG seed (default 1)"),
+    "output": ("sinr.csv", str, "CSV output path"),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything the Monte-Carlo runner needs for one sweep."""
@@ -149,6 +174,9 @@ class ScenarioConfig:
             raise ValueError("frames_per_point must be at least 1")
         if len(self.snr_sweep_db) == 0:
             raise ValueError("snr_sweep_db must be nonempty")
+        for idx, snr_db in enumerate(self.snr_sweep_db):
+            if not np.isfinite(snr_db):
+                raise ValueError(f"SNR sweep point {idx} ({snr_db} dB) is not finite")
         if len(self.detectors) == 0:
             raise ValueError("at least one detector kind is required")
 
@@ -224,9 +252,8 @@ def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
     frame.  All randomness is keyed by (seed, point index, frame index), so
     identical configs produce byte-identical CSV output regardless of
     execution order.  Frames on which a detector fails (a singular bin, or a
-    zero-power channel column for the diagonally unbiased detectors) are
-    excluded from that detector's average and counted in its ``n_failures``;
-    the sweep goes on.
+    zero-power channel column) are excluded from that detector's average and
+    counted in its ``n_failures``; the sweep goes on.
     """
     m_ant = cfg.channel.num_antennas
     k_usr = cfg.channel.num_users

@@ -1,11 +1,9 @@
-"""Complex vector/matrix primitives shared by every other module.
+"""Hermitian positive-definite linear algebra and the errors the detectors raise.
 
-Two DFT conventions coexist on purpose.  The unitary transform (``1/sqrt(N)``
-scaling both ways) is used for signal and noise, because it preserves the
-per-sample noise variance across the domain change.  The unnormalized forward
-transform produces circulant-channel eigenvalues: the DFT of the zero-padded
-impulse response equals the diagonal of the diagonalized channel matrix.
-Callers pick the convention explicitly; nothing here auto-selects.
+``invert_hpd`` and ``solve_hpd`` factorize via Cholesky and reject input that
+is not finite and Hermitian; ``diag_of_product`` takes the diagonal of a
+product without forming it.  Everything else the algebra needs is plain NumPy
+(``@``, ``.conj()``, ``np.fft``).
 
 All operations are pure functions on immutable inputs and are safe to call
 concurrently.  Scalars are double precision throughout.
@@ -19,24 +17,13 @@ import scipy.linalg
 __all__ = [
     "SingularMatrixError",
     "DegenerateScaleError",
-    "dft_unitary",
-    "idft_unitary",
-    "dft_unnormalized",
     "invert_hpd",
     "solve_hpd",
-    "matmul",
-    "hermitian",
-    "conj",
     "diag_of_product",
-    "elem_inverse",
-    "hadamard",
 ]
 
 # Relative element-wise tolerance for accepting a matrix as Hermitian.
 HERMITIAN_TOL = 1e-10
-
-# Magnitudes at or below this floor are refused by elem_inverse.
-ELEM_INVERSE_FLOOR = 1e-300
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -52,16 +39,7 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 
 class DegenerateScaleError(ValueError):
-    """An element-wise inverse was requested for a vanishing magnitude."""
-
-
-def _as_vector(v, name: str = "v") -> np.ndarray:
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
-    if v.size == 0:
-        raise ValueError(f"{name} must be nonempty")
-    return v
+    """An unbiasing gain vanished, as a zero-power channel column makes it."""
 
 
 def _as_matrix(a, name: str = "a") -> np.ndarray:
@@ -69,31 +47,6 @@ def _as_matrix(a, name: str = "a") -> np.ndarray:
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"{name} must be a nonempty 2-D matrix, got shape {a.shape}")
     return a
-
-
-def dft_unitary(v) -> np.ndarray:
-    """Unitary DFT of a vector (``1/sqrt(N)`` scaling, so the inverse is the
-    Hermitian transpose of the transform matrix).
-
-    Any positive length is supported; power-of-two sizes take the fast path
-    but mixed-radix and prime sizes work identically.
-    """
-    return np.fft.fft(_as_vector(v), norm="ortho")
-
-
-def idft_unitary(v) -> np.ndarray:
-    """Inverse of :func:`dft_unitary`."""
-    return np.fft.ifft(_as_vector(v), norm="ortho")
-
-
-def dft_unnormalized(v) -> np.ndarray:
-    """Unnormalized forward DFT, i.e. ``sqrt(N) * dft_unitary(v)``.
-
-    This is the convention that maps a zero-padded channel impulse response
-    onto the eigenvalues of the corresponding circulant channel matrix; it is
-    used for nothing else.
-    """
-    return np.fft.fft(_as_vector(v))
 
 
 def _check_hermitian(m) -> np.ndarray:
@@ -177,27 +130,6 @@ def invert_hpd(m) -> np.ndarray:
     return 0.5 * (inv + np.swapaxes(inv, -2, -1).conj())
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix (or matrix-vector) product with an explicit conformance check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim == 0 or b.ndim == 0:
-        raise ValueError("matmul operands must be at least 1-D")
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def hermitian(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T
-
-
-def conj(a) -> np.ndarray:
-    """Element-wise complex conjugate."""
-    return np.conj(a)
-
-
 def diag_of_product(a, b) -> np.ndarray:
     """Diagonal of ``a @ b`` computed without forming the full product.
 
@@ -211,26 +143,3 @@ def diag_of_product(a, b) -> np.ndarray:
     if a.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-2:] != b.shape[:-3:-1]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
     return np.einsum("...ij,...ji->...i", a, b)
-
-
-def elem_inverse(v) -> np.ndarray:
-    """Element-wise reciprocal of a vector.
-
-    Raises
-    ------
-    DegenerateScaleError
-        If any element magnitude is at or below ``ELEM_INVERSE_FLOOR``.
-    """
-    v = _as_vector(v)
-    if np.any(np.abs(v) <= ELEM_INVERSE_FLOOR):
-        raise DegenerateScaleError("elem_inverse: entry magnitude below invertible floor")
-    return 1.0 / v
-
-
-def hadamard(v, w) -> np.ndarray:
-    """Element-wise product of two equal-length vectors."""
-    v = _as_vector(v, "v")
-    w = _as_vector(w, "w")
-    if v.shape != w.shape:
-        raise ValueError(f"length mismatch: {v.shape} vs {w.shape}")
-    return v * w

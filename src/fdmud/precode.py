@@ -11,8 +11,9 @@ downlink Gram at all.  The direct path forms its own Gram stack and inverts
 it with one stacked call; its agreement with the cache path is the
 cross-check the test suite runs.
 
-Only the precoder algebra lives here; end-to-end downlink performance
-evaluation is out of scope.
+The precoder algebra is one private kernel over a whole stack of bins:
+``precode_frame`` applies it to all N bins, and ``mmse_precode_bin`` is its
+N = 1 call.  End-to-end downlink performance evaluation is out of scope.
 """
 
 from __future__ import annotations
@@ -23,20 +24,13 @@ from typing import Optional
 import numpy as np
 
 from .channel import BinChannel
-from .detect import InverseCache
+from .detect import InverseCache, _unbias
 from .frame import SymbolFrame
-from .numerics import (
-    SingularMatrixError,
-    diag_of_product,
-    elem_inverse,
-    invert_hpd,
-    matmul,
-)
+from .numerics import SingularMatrixError, diag_of_product, invert_hpd
 
 __all__ = [
     "PowerAllocation",
     "PrecodeResult",
-    "dl_inverse_from_cache",
     "mmse_precode_bin",
     "precode_frame",
 ]
@@ -78,30 +72,37 @@ class PrecodeResult:
         return float(np.sum(np.abs(self.x) ** 2))
 
 
-def dl_inverse_from_cache(cache: InverseCache, n: int) -> np.ndarray:
-    """Downlink inverse for bin n, obtained by conjugating the uplink one.
+def _precode(a, s_fd, sigma_w2: float, p_sqrt, dl_inv=None, beta=None):
+    """Precode every bin: ``x_n = A_n^* dl_inv_n P^(1/2) (beta_n o s_n)``.
 
-    ``conj(inv[n])`` equals ``(A_n^T A_n^* + sigma_w2 I)^-1`` exactly, since
-    ``A^T A^*`` is the conjugate of ``A^H A``.
+    ``a`` is (N, M, K) and ``s_fd`` (N, K).  Without ``dl_inv`` the downlink
+    Gram ``A^T A^* + sigma_w2 I`` is formed and inverted; without ``beta``
+    the per-user unbiasing is taken from that Gram and ``dl_inv``.  Returns
+    the (N, M) transmit samples and the (N, K) ``beta`` applied.
     """
-    if not 0 <= n < cache.inv.shape[0]:
-        raise IndexError(f"bin {n} not present in cache of {cache.inv.shape[0]} bins")
-    return np.conj(cache.inv[n])
-
-
-def _dl_unbias(a_n: np.ndarray, dl_inv: np.ndarray) -> np.ndarray:
-    """Per-user scale making the noiseless end-to-end downlink gain unity."""
-    gram_dl = matmul(a_n.T, np.conj(a_n))  # A^T A^*
-    return elem_inverse(diag_of_product(gram_dl, dl_inv)).real
+    if beta is None:
+        gram_dl = np.matmul(a.transpose(0, 2, 1), a.conj())  # (N, K, K): A^T A^*
+        if dl_inv is None:
+            try:
+                dl_inv = invert_hpd(gram_dl + sigma_w2 * np.eye(a.shape[2]))
+            except SingularMatrixError as exc:
+                raise SingularMatrixError(
+                    f"bin {exc.index}: Cholesky factorization failed (not positive definite)",
+                    index=exc.index,
+                ) from exc
+        beta = _unbias(diag_of_product(gram_dl, dl_inv).real)
+    v = np.matmul(dl_inv, (p_sqrt * beta * s_fd)[:, :, np.newaxis])  # (N, K, 1)
+    # A^* v as conj(A conj(v)): the same products, without a conjugated copy of A.
+    return np.matmul(a, v.conj()).conj()[..., 0], beta
 
 
 def mmse_precode_bin(a_n, s_n, sigma_w2: float, power: PowerAllocation, dl_inv) -> np.ndarray:
     """Precode one bin's K symbols into M transmit samples.
 
     Computes ``A^* dl_inv P^(1/2) (beta o s)`` with ``beta`` the per-user
-    unbiasing of :func:`_dl_unbias`; ``dl_inv`` must be the downlink inverse
-    consistent with ``(a_n, sigma_w2)``, e.g. from
-    :func:`dl_inverse_from_cache`.
+    scale making the noiseless end-to-end downlink gain unity; ``dl_inv``
+    must be the downlink inverse consistent with ``(a_n, sigma_w2)``, e.g.
+    the conjugate of an uplink :class:`~fdmud.detect.InverseCache` entry.
     """
     a_n = np.asarray(a_n)
     s_n = np.asarray(s_n)
@@ -116,8 +117,8 @@ def mmse_precode_bin(a_n, s_n, sigma_w2: float, power: PowerAllocation, dl_inv) 
         )
     if sigma_w2 < 0:
         raise ValueError("sigma_w2 must be non-negative")
-    beta = _dl_unbias(a_n, dl_inv)
-    return matmul(np.conj(a_n), matmul(dl_inv, power.p_sqrt * beta * s_n))
+    x, _ = _precode(a_n[np.newaxis], s_n[np.newaxis], sigma_w2, power.p_sqrt, dl_inv[np.newaxis])
+    return x[0]
 
 
 def precode_frame(
@@ -134,8 +135,9 @@ def precode_frame(
     are its conjugated entries and the unbiasing scalars its ``unbias``;
     otherwise both are computed directly from the downlink Gram.  Both paths
     agree to rounding, which the test suite checks.  On the direct path a
-    singular bin raises :class:`~fdmud.numerics.SingularMatrixError` naming
-    the bin.
+    singular bin raises :class:`~fdmud.numerics.SingularMatrixError` and a
+    zero-power channel column :class:`~fdmud.numerics.DegenerateScaleError`,
+    each naming the first offending bin.
 
     No transmit sum-power renormalization is applied; callers wanting a power
     diagnostic can take ``norm(x)**2`` themselves.
@@ -162,19 +164,5 @@ def precode_frame(
             )
         dl_inv = np.conj(cache.inv)
         beta = cache.unbias
-    if beta is None:  # direct path, or a cache built without the uplink unbias
-        gram_dl = np.matmul(a.transpose(0, 2, 1), a.conj())  # (N, K, K): A^T A^*
-        if dl_inv is None:
-            try:
-                dl_inv = invert_hpd(gram_dl + sigma_w2 * np.eye(k_usr))
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(
-                    f"bin {exc.index}: Cholesky factorization failed (not positive definite)",
-                    index=exc.index,
-                ) from exc
-        beta = 1.0 / diag_of_product(gram_dl, dl_inv).real  # (N, K)
-    scaled = power.p_sqrt[np.newaxis, :] * beta * s_fd
-    v = np.matmul(dl_inv, scaled[:, :, np.newaxis])  # (N, K, 1)
-    # A^* v as conj(A conj(v)): the same products, without a conjugated copy of A.
-    x = np.matmul(a, v.conj()).conj()[..., 0]  # (N, M)
+    x, beta = _precode(a, s_fd, sigma_w2, power.p_sqrt, dl_inv, beta)
     return PrecodeResult(x=x.T, beta_used=beta.T)

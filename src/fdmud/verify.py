@@ -15,7 +15,8 @@ import numpy as np
 from .channel import ChannelConfig, draw_channel, to_bin_channels
 from .detect import DetectorKind, detect_frame, mmse_bin, mrc_bin, mrcmmse_bin
 from .frame import FrameConfig, generate_symbols, to_frequency_domain, transmit
-from .numerics import diag_of_product, elem_inverse, hermitian, invert_hpd, matmul
+from .harness import SCENARIO_TABLE
+from .numerics import diag_of_product, invert_hpd
 from .precode import PowerAllocation, mmse_precode_bin, precode_frame
 
 __all__ = [
@@ -93,9 +94,9 @@ def check_pushthrough_identity(trials: int = 100, seed: int = 1, tol: float = 1e
         k = int(rng.integers(1, m))
         sigma_w2 = float(10.0 ** rng.uniform(-2, 2))
         a = _crandn(rng, m, k)
-        big = matmul(hermitian(a), matmul(invert_hpd(matmul(a, hermitian(a)) + sigma_w2 * np.eye(m)), a))
-        gram = matmul(hermitian(a), a)
-        small = matmul(invert_hpd(gram + sigma_w2 * np.eye(k)), gram)
+        big = a.conj().T @ (invert_hpd(a @ a.conj().T + sigma_w2 * np.eye(m)) @ a)
+        gram = a.conj().T @ a
+        small = invert_hpd(gram + sigma_w2 * np.eye(k)) @ gram
         worst = max(worst, float(np.abs(big - small).max()))
     return CheckResult(
         name="pushthrough-identity",
@@ -113,10 +114,10 @@ def check_unbias_coefficients_match(trials: int = 100, seed: int = 2, tol: float
         k = int(rng.integers(1, m))
         sigma_w2 = float(10.0 ** rng.uniform(-2, 2))
         a = _crandn(rng, m, k)
-        filt = matmul(hermitian(a), invert_hpd(matmul(a, hermitian(a)) + sigma_w2 * np.eye(m)))
-        coeff_m = elem_inverse(diag_of_product(filt, a))
-        gram = matmul(hermitian(a), a)
-        coeff_k = elem_inverse(diag_of_product(invert_hpd(gram + sigma_w2 * np.eye(k)), gram))
+        filt = a.conj().T @ invert_hpd(a @ a.conj().T + sigma_w2 * np.eye(m))
+        coeff_m = 1.0 / diag_of_product(filt, a)
+        gram = a.conj().T @ a
+        coeff_k = 1.0 / diag_of_product(invert_hpd(gram + sigma_w2 * np.eye(k)), gram)
         worst = max(worst, float(np.abs(coeff_m - coeff_k).max()))
     return CheckResult(
         name="unbias-coefficients-match",
@@ -137,7 +138,7 @@ def check_end_to_end_unit_gain(trials: int = 50, seed: int = 3, tol: float = 1e-
         for col in range(k):
             probe = np.zeros(k, dtype=complex)
             probe[col] = 1.0
-            y = matmul(a, probe)
+            y = a @ probe
             worst = max(worst, abs(mmse_bin(a, y, sigma_w2)[col] - 1.0))
             est, _ = mrcmmse_bin(a, mrc_bin(a, y), sigma_w2)
             worst = max(worst, abs(est[col] - 1.0))
@@ -220,8 +221,8 @@ def check_precoder_forms_agree(trials: int = 100, seed: int = 6, tol: float = 1e
         k = int(rng.integers(1, m))
         sigma_w2 = float(10.0 ** rng.uniform(-2, 2))
         a = _crandn(rng, m, k)
-        small = matmul(np.conj(a), invert_hpd(matmul(a.T, np.conj(a)) + sigma_w2 * np.eye(k)))
-        big = matmul(invert_hpd(matmul(np.conj(a), a.T) + sigma_w2 * np.eye(m)), np.conj(a))
+        small = a.conj() @ invert_hpd(a.T @ a.conj() + sigma_w2 * np.eye(k))
+        big = invert_hpd(a.conj() @ a.T + sigma_w2 * np.eye(m)) @ a.conj()
         worst = max(worst, float(np.abs(small - big).max()))
     return CheckResult(
         name="precoder-forms-agree",
@@ -231,15 +232,18 @@ def check_precoder_forms_agree(trials: int = 100, seed: int = 6, tol: float = 1e
 
 
 def _default_scenario() -> tuple[ChannelConfig, FrameConfig]:
+    """The ``simulate`` default geometry at seed 11 and 0 dB."""
+    default = {key: row[0] for key, row in SCENARIO_TABLE.items()}
     channel = ChannelConfig(
-        num_antennas=64,
-        num_users=14,
-        frame_len=2048,
-        channel_len=130,
-        decay_samples=25.0,
+        num_antennas=default["m"],
+        num_users=default["k"],
+        frame_len=default["n"],
+        channel_len=default["l_h"],
+        decay_samples=default["decay_samples"],
+        power_spread=(default["power_low"], default["power_high"]),
         seed=11,
     )
-    frame = FrameConfig(frame_len=2048, cp_len=144, snr_db=0.0)
+    frame = FrameConfig(frame_len=default["n"], cp_len=default["l_cp"], snr_db=0.0)
     return channel, frame
 
 
@@ -259,7 +263,7 @@ def check_cache_conjugate_reuse(seed: int = 7, tol: float = 1e-10) -> CheckResul
     eye = fc.sigma_w2 * np.eye(channel_cfg.num_users)
     for n in range(0, fc.frame_len):
         a_n = bins.a[n]
-        direct = invert_hpd(matmul(a_n.T, np.conj(a_n)) + eye)
+        direct = invert_hpd(a_n.T @ a_n.conj() + eye)
         worst = max(worst, float(np.abs(np.conj(cache.inv[n]) - direct).max()))
     return CheckResult(
         name="cache-conjugate-reuse",
@@ -278,9 +282,9 @@ def check_precoder_zf_limit(
         m, k = 4, 2
         a = _crandn(rng, m, k)
         s = _crandn(rng, k)
-        dl_inv = invert_hpd(matmul(a.T, np.conj(a)) + sigma_w2 * np.eye(k))
+        dl_inv = invert_hpd(a.T @ a.conj() + sigma_w2 * np.eye(k))
         x = mmse_precode_bin(a, s, sigma_w2, PowerAllocation.uniform(k), dl_inv)
-        worst = max(worst, float(np.abs(matmul(a.T, x) - s).max()))
+        worst = max(worst, float(np.abs(a.T @ x - s).max()))
     return CheckResult(
         name="precoder-zf-limit",
         passed=worst <= tol,

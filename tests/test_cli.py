@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from fdmud.cli import main, parse_config_file, parse_detectors, parse_sweep
+from fdmud import cli
+from fdmud.cli import build_scenario, main, parse_config_file, parse_detectors, parse_sweep
 from fdmud.detect import DetectorKind
+from fdmud.harness import SCENARIO_TABLE, SinrReport
 
 
 FAST_ARGS = [
@@ -42,6 +44,25 @@ class TestParsing:
         cfg.write_text("antennas=8\n")
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_file(str(cfg))
+
+    @pytest.mark.parametrize("key", list(SCENARIO_TABLE))
+    def test_every_table_key_is_a_config_key_and_a_flag(self, key, tmp_path, monkeypatch):
+        default, cast, _ = SCENARIO_TABLE[key]
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"{key}={default}\n")
+        values = parse_config_file(str(cfg))
+        assert values == {key: default} and type(values[key]) is cast
+
+        seen = []
+
+        def fake_run(scenario):
+            seen.append(scenario)
+            return SinrReport(rows=(), seed=scenario.channel.seed, frames_per_point=1)
+
+        monkeypatch.setattr(cli, "run_monte_carlo", fake_run)
+        flag = "--" + key.replace("_", "-")
+        assert main(["simulate", f"{flag}={default}"]) == 0
+        assert seen == [build_scenario({k: row[0] for k, row in SCENARIO_TABLE.items()})]
 
     def test_config_file_bad_line(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
@@ -84,6 +105,11 @@ class TestSimulate:
         rc = main(["simulate", "--m", "2", "--k", "2"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_sweep_point_fails_cleanly(self, capsys):
+        rc = main(["simulate", *FAST_ARGS, "--snr-sweep", "0,nan"])
+        assert rc == 2
+        assert "error: SNR sweep point 1" in capsys.readouterr().err
 
 
 class TestComplexity:

@@ -28,6 +28,17 @@ def normal_equations_oracle(a, y, sigma_w2):
     return raw / gain
 
 
+def per_bin_oracle(kind, a, y, sigma_w2):
+    """Independently coded per-bin estimates for the K x K detector kinds."""
+    gram = a.conj().T @ a
+    matched = a.conj().T @ y
+    if kind is DetectorKind.MRC_MMSE:
+        return normal_equations_oracle(a, y, sigma_w2)
+    if kind is DetectorKind.HIGH_SNR_ZF:
+        return np.linalg.solve(gram, matched)
+    return matched / np.diag(gram).real  # TR-MRC and low-SNR: diagonally unbiased
+
+
 def small_scenario(seed=0, frame_len=16, m_ant=4, k_usr=2, l_h=3, snr_db=3.0):
     cfg = ChannelConfig(
         num_antennas=m_ant,
@@ -227,25 +238,15 @@ class TestDetectFrame:
         ],
     )
     def test_batched_frame_matches_per_bin_loop(self, kind):
-        # the vectorized frame path must be observationally identical to
-        # looping the per-bin operations
+        # the batched frame path must be observationally identical to a loop
+        # of independently coded per-bin estimates
         _, bins, fc, _, rf = small_scenario(seed=33)
         sigma_w2 = fc.sigma_w2
         result = detect_frame(rf, bins, sigma_w2, kind)
         n = rf.samples.shape[1]
         est = np.empty((bins.a.shape[2], n), dtype=complex)
         for idx in range(n):
-            a_n = bins.a[idx]
-            y_n = rf.samples[:, idx]
-            if kind is DetectorKind.MRC_MMSE:
-                est[:, idx], _ = mrcmmse_bin(a_n, mrc_bin(a_n, y_n), sigma_w2)
-            elif kind is DetectorKind.TR_MRC:
-                gains = np.abs(a_n.conj().T @ a_n).diagonal()
-                est[:, idx] = mrc_bin(a_n, y_n) * a_n.shape[0] / gains
-            elif kind is DetectorKind.LOW_SNR:
-                est[:, idx] = lowsnr_bin(a_n, y_n)
-            else:
-                est[:, idx] = highsnr_bin(a_n, y_n)
+            est[:, idx] = per_bin_oracle(kind, bins.a[idx], rf.samples[:, idx], sigma_w2)
         expected = np.fft.ifft(est, axis=1, norm="ortho")
         assert np.abs(result.s_hat_time - expected).max() <= 1e-12
 
@@ -307,7 +308,10 @@ class TestDetectFrame:
         with pytest.raises(SingularMatrixError, match="bin 5"):
             detect_frame(rf, BinChannel(a=a), 0.0, DetectorKind.HIGH_SNR_ZF)
 
-    @pytest.mark.parametrize("kind", [DetectorKind.TR_MRC, DetectorKind.LOW_SNR])
+    @pytest.mark.parametrize(
+        "kind",
+        [DetectorKind.MMSE, DetectorKind.MRC_MMSE, DetectorKind.TR_MRC, DetectorKind.LOW_SNR],
+    )
     def test_zero_power_column_error_names_the_bin(self, rng, kind):
         from fdmud.channel import BinChannel
 

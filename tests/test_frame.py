@@ -233,6 +233,11 @@ class TestFrameConfig:
         assert FrameConfig(frame_len=8, cp_len=2, snr_db=10.0).sigma_w2 == pytest.approx(0.1)
         assert FrameConfig(frame_len=8, cp_len=2, snr_db=np.inf).sigma_w2 == 0.0
 
+    def test_nan_snr_rejected(self):
+        # inf stays valid: it is the noise-free path
+        with pytest.raises(ValueError, match="nan"):
+            FrameConfig(frame_len=8, cp_len=2, snr_db=float("nan"))
+
     def test_bad_lengths(self):
         with pytest.raises(ValueError):
             FrameConfig(frame_len=0, cp_len=0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fdmud import harness
-from fdmud.channel import ChannelConfig
+from fdmud.channel import BinChannel, ChannelConfig
 from fdmud.detect import DetectionResult, DetectorKind
 from fdmud.frame import FrameConfig, SymbolFrame
 from fdmud.harness import (
@@ -256,6 +256,22 @@ class TestRunMonteCarlo:
         lines = [l for l in out.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
         assert sorted(l.split(",")[-1] for l in lines[1:]) == ["0", "0", "3", "3"]
 
+    def test_zero_power_column_counts_as_mrc_mmse_failure(self, monkeypatch, recwarn):
+        # a dead user column at bin 3 fails MRC-MMSE on every frame instead
+        # of feeding a nan SINR into the average
+        original = harness.to_bin_channels
+
+        def dead_column(realization):
+            a = original(realization).a.copy()
+            a[3, :, 0] = 0.0
+            return BinChannel(a=a)
+
+        monkeypatch.setattr(harness, "to_bin_channels", dead_column)
+        report = run_monte_carlo(tiny_scenario(detectors=(DetectorKind.MRC_MMSE,)))
+        for row in report.rows:
+            assert (row.n_frames, row.n_failures) == (0, 3)
+        assert not [w for w in recwarn if "SINR" in str(w.message)]
+
     def test_mmse_and_mrcmmse_rows_indistinguishable(self):
         cfg = tiny_scenario(detectors=(DetectorKind.MMSE, DetectorKind.MRC_MMSE))
         report = run_monte_carlo(cfg)
@@ -272,3 +288,8 @@ class TestRunMonteCarlo:
             tiny_scenario(snr_sweep_db=())
         with pytest.raises(ValueError):
             tiny_scenario(detectors=())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sweep_point_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"point 1 \((nan|inf|-inf) dB\)"):
+            tiny_scenario(snr_sweep_db=(0.0, bad))

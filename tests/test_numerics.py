@@ -2,75 +2,81 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdmud.numerics import (
-    DegenerateScaleError,
-    SingularMatrixError,
-    conj,
-    dft_unitary,
-    dft_unnormalized,
-    diag_of_product,
-    elem_inverse,
-    hadamard,
-    hermitian,
-    idft_unitary,
-    invert_hpd,
-    matmul,
-)
+from fdmud.channel import ChannelConfig, ChannelRealization, to_bin_channels
+from fdmud.frame import ReceivedFrame, to_frequency_domain
+from fdmud.numerics import SingularMatrixError, diag_of_product, invert_hpd
 
 from conftest import crandn, dft_matrix
+
+# The package's two DFT conventions, pinned on the functions that apply them:
+# to_frequency_domain (unitary) and to_bin_channels (unnormalized).
+
+
+def unitary_dft(v):
+    """One antenna row through ``to_frequency_domain``."""
+    return to_frequency_domain(ReceivedFrame(samples=np.atleast_2d(v))).samples[0]
+
+
+def bin_spectrum(h, n):
+    """One impulse response through ``to_bin_channels``: its n per-bin coefficients."""
+    h = np.asarray(h, dtype=complex)
+    cfg = ChannelConfig(num_antennas=2, num_users=1, frame_len=n, channel_len=h.size, decay_samples=1.0)
+    taps = np.zeros((2, 1, h.size), dtype=complex)
+    taps[0, 0] = h
+    return to_bin_channels(ChannelRealization(taps=taps, config=cfg)).a[:, 0, 0]
 
 
 class TestDftUnitary:
     def test_impulse(self):
-        assert_allclose(dft_unitary([1, 0, 0, 0]), [0.5, 0.5, 0.5, 0.5], atol=1e-15)
+        assert_allclose(unitary_dft([1, 0, 0, 0]), [0.5, 0.5, 0.5, 0.5], atol=1e-15)
 
     def test_constant_maps_to_dc(self):
-        assert_allclose(dft_unitary([1, 1, 1, 1]), [2, 0, 0, 0], atol=1e-15)
+        assert_allclose(unitary_dft([1, 1, 1, 1]), [2, 0, 0, 0], atol=1e-15)
 
     def test_round_trip_length_8(self, rng):
+        # the inverse is the Hermitian transpose of the transform matrix
         v = crandn(rng, 8)
-        back = idft_unitary(dft_unitary(v))
+        back = dft_matrix(8).conj().T @ unitary_dft(v)
         assert np.abs(back - v).max() <= 1e-12 * np.abs(v).max()
 
     @pytest.mark.parametrize("n", [1, 5, 8, 12, 17, 2048])
     def test_matches_explicit_matrix(self, rng, n):
         # mixed-radix and prime sizes must work, not only powers of two
         v = crandn(rng, n)
-        assert_allclose(dft_unitary(v), dft_matrix(n) @ v, atol=1e-10 * n)
+        assert_allclose(unitary_dft(v), dft_matrix(n) @ v, atol=1e-10 * n)
 
     @pytest.mark.parametrize("n", [3, 12, 64])
     def test_unitarity_property(self, rng, n):
         for _ in range(5):
             v = crandn(rng, n)
-            err = np.abs(idft_unitary(dft_unitary(v)) - v).max()
+            err = np.abs(dft_matrix(n).conj().T @ unitary_dft(v) - v).max()
             assert err <= 1e-12 * np.abs(v).max()
 
     @pytest.mark.parametrize("n", [4, 12, 101])
     def test_parseval(self, rng, n):
         v = crandn(rng, n)
-        assert np.linalg.norm(dft_unitary(v)) == pytest.approx(np.linalg.norm(v), rel=1e-12)
+        assert np.linalg.norm(unitary_dft(v)) == pytest.approx(np.linalg.norm(v), rel=1e-12)
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
-            dft_unitary(np.array([], dtype=complex))
-        with pytest.raises(ValueError):
-            idft_unitary(np.array([], dtype=complex))
+            unitary_dft(np.zeros((1, 0), dtype=complex))
 
 
 class TestDftUnnormalized:
     def test_identity_channel_has_unit_eigenvalues(self):
-        assert_allclose(dft_unnormalized([1, 0, 0, 0]), [1, 1, 1, 1], atol=1e-15)
+        assert_allclose(bin_spectrum([1], 4), [1, 1, 1, 1], atol=1e-15)
 
     def test_unit_delay_twiddles(self):
-        assert_allclose(dft_unnormalized([0, 1, 0, 0]), [1, -1j, -1, 1j], atol=1e-15)
+        assert_allclose(bin_spectrum([0, 1], 4), [1, -1j, -1, 1j], atol=1e-15)
 
     def test_is_scaled_unitary_transform(self, rng):
-        v = crandn(rng, 12)
-        assert_allclose(dft_unnormalized(v), np.sqrt(12) * dft_unitary(v), atol=1e-13)
+        h = crandn(rng, 5)
+        padded = np.concatenate([h, np.zeros(7)])
+        assert_allclose(bin_spectrum(h, 12), np.sqrt(12) * unitary_dft(padded), atol=1e-13)
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
-            dft_unnormalized([])
+            bin_spectrum([], 4)
 
 
 class TestInvertHpd:
@@ -200,33 +206,3 @@ class TestElementwiseOps:
             diag_of_product(np.swapaxes(a, -2, -1).conj(), a)
             - np.stack([np.diag(a[n].conj().T @ a[n]) for n in range(4)])
         ).max() <= 1e-13
-
-    def test_hadamard(self):
-        assert_allclose(hadamard([1, 2], [3, 4]), [3, 8])
-
-    def test_hadamard_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hadamard([1, 2], [3, 4, 5])
-
-    def test_elem_inverse(self):
-        assert_allclose(elem_inverse([2.0, 4.0]), [0.5, 0.25])
-
-    def test_elem_inverse_near_zero_rejected(self):
-        with pytest.raises(DegenerateScaleError):
-            elem_inverse([1.0, 0.0])
-
-    def test_hermitian_involution_exact(self, rng):
-        a = crandn(rng, 3, 5)
-        assert np.array_equal(hermitian(hermitian(a)), a)
-
-    def test_conj(self):
-        assert_allclose(conj([1 + 2j]), [1 - 2j])
-
-    def test_matmul_basic(self, rng):
-        a = crandn(rng, 3, 4)
-        b = crandn(rng, 4, 2)
-        assert_allclose(matmul(a, b), a @ b)
-
-    def test_matmul_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            matmul(crandn(rng, 3, 4), crandn(rng, 3, 2))

@@ -5,13 +5,8 @@ from numpy.testing import assert_allclose
 from fdmud.channel import BinChannel, ChannelConfig, draw_channel, to_bin_channels
 from fdmud.detect import DetectorKind, InverseCache, detect_frame
 from fdmud.frame import FrameConfig, SymbolFrame, generate_symbols, to_frequency_domain, transmit
-from fdmud.numerics import SingularMatrixError, invert_hpd
-from fdmud.precode import (
-    PowerAllocation,
-    dl_inverse_from_cache,
-    mmse_precode_bin,
-    precode_frame,
-)
+from fdmud.numerics import DegenerateScaleError, SingularMatrixError, invert_hpd
+from fdmud.precode import PowerAllocation, mmse_precode_bin, precode_frame
 
 from conftest import crandn
 
@@ -23,34 +18,13 @@ def ul_cache(a_stack, sigma_w2):
     return InverseCache(inv=inv, sigma_w2=sigma_w2)
 
 
-class TestDlInverseFromCache:
-    def test_real_channel_is_fixed_point(self, rng):
-        a = np.abs(crandn(rng, 3, 4, 2)) + 0j  # real-valued entries
-        cache = ul_cache(a, 0.5)
-        assert_allclose(dl_inverse_from_cache(cache, 1), cache.inv[1], atol=1e-14)
-
-    def test_is_downlink_inverse(self, rng):
-        # conj of the uplink inverse inverts the downlink-side Gram
-        a = crandn(rng, 4, 5, 3)
-        sigma_w2 = 0.3
-        cache = ul_cache(a, sigma_w2)
-        for n in range(4):
-            dl = dl_inverse_from_cache(cache, n)
-            gram_dl = a[n].T @ a[n].conj() + sigma_w2 * np.eye(3)
-            assert np.abs(dl @ gram_dl - np.eye(3)).max() <= 1e-9
-
-    def test_scalar_is_real(self, rng):
-        a = crandn(rng, 2, 3, 1)
-        cache = ul_cache(a, 0.1)
-        dl = dl_inverse_from_cache(cache, 0)
-        expected = 1.0 / (np.abs(a[0, :, 0]) ** 2).sum().real
-        assert dl[0, 0].imag == pytest.approx(0.0, abs=1e-14)
-        assert dl[0, 0].real == pytest.approx(1.0 / (1.0 / expected + 0.1), rel=1e-12)
-
-    def test_missing_bin(self, rng):
-        cache = ul_cache(crandn(rng, 2, 3, 1), 0.1)
-        with pytest.raises(IndexError):
-            dl_inverse_from_cache(cache, 2)
+def precode_oracle(a_n, s_n, sigma_w2, p_sqrt):
+    """Independently coded per-bin MMSE precoder: x = A^* (A^T A^* + s I)^-1 P^(1/2) (beta o s)."""
+    k = a_n.shape[1]
+    gram_dl = a_n.T @ a_n.conj()
+    dl_inv = np.linalg.inv(gram_dl + sigma_w2 * np.eye(k))
+    beta = 1.0 / np.diag(gram_dl @ dl_inv).real
+    return a_n.conj() @ (dl_inv @ (p_sqrt * beta * s_n))
 
 
 class TestMmsePrecodeBin:
@@ -159,8 +133,7 @@ class TestPrecodeFrame:
         result = precode_frame(sf, bins, fc.sigma_w2, power=power)
         s_fd = np.fft.fft(sf.symbols, axis=1, norm="ortho")
         for n in range(32):
-            dl_inv = invert_hpd(bins.a[n].T @ bins.a[n].conj() + fc.sigma_w2 * np.eye(3))
-            x_n = mmse_precode_bin(bins.a[n], s_fd[:, n], fc.sigma_w2, power, dl_inv)
+            x_n = precode_oracle(bins.a[n], s_fd[:, n], fc.sigma_w2, power.p_sqrt)
             assert np.abs(result.x[:, n] - x_n).max() <= 1e-12
 
     def test_beta_positive_and_real(self):
@@ -206,6 +179,13 @@ class TestPrecodeFrame:
         sf = SymbolFrame(symbols=crandn(rng, 2, 8))
         with pytest.raises(SingularMatrixError, match="bin 6"):
             precode_frame(sf, BinChannel(a=a), 0.0)
+
+    def test_direct_path_zero_power_column_error_names_the_bin(self, rng):
+        a = np.tile(crandn(rng, 4, 2), (8, 1, 1))
+        a[3, :, 0] = 0.0  # the regularized Gram stays invertible; the unbiasing gain vanishes
+        sf = SymbolFrame(symbols=crandn(rng, 2, 8))
+        with pytest.raises(DegenerateScaleError, match="bin 3"):
+            precode_frame(sf, BinChannel(a=a), 0.1)
 
     def test_cache_noise_mismatch_rejected(self):
         ch, bins, fc = self.scenario(seed=9)
