@@ -22,10 +22,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .channel import ChannelConfig
-from .detect import DetectorKind
-from .frame import FrameConfig
-from .harness import SCENARIO_TABLE, ScenarioConfig, complexity_sweep, run_monte_carlo
+from .harness import (
+    SCENARIO_TABLE,
+    ScenarioConfig,
+    build_scenario,
+    complexity_sweep,
+    run_monte_carlo,
+)
 from .verify import run_detector_checks, run_precoder_checks
 
 
@@ -45,60 +48,6 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = SCENARIO_TABLE[key][1](raw.strip())
     return values
-
-
-def parse_sweep(text: str) -> tuple[float, ...]:
-    """Parse ``start:stop:step`` (inclusive) or a comma-separated dB list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"sweep range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("sweep step must be positive")
-        count = int(round((stop - start) / step)) + 1
-        points = tuple(start + i * step for i in range(max(count, 0)) if start + i * step <= stop + 1e-9)
-        if not points:
-            raise ValueError(f"empty sweep range {text!r}")
-        return points
-    return tuple(float(p) for p in text.split(","))
-
-
-def parse_detectors(text: str) -> tuple[DetectorKind, ...]:
-    kinds = []
-    for token in text.split(","):
-        token = token.strip()
-        try:
-            kinds.append(DetectorKind(token))
-        except ValueError:
-            known = ", ".join(k.value for k in DetectorKind)
-            raise ValueError(f"unknown detector {token!r}; known: {known}") from None
-    return tuple(kinds)
-
-
-def build_scenario(values: dict) -> ScenarioConfig:
-    channel = ChannelConfig(
-        num_antennas=values["m"],
-        num_users=values["k"],
-        frame_len=values["n"],
-        channel_len=values["l_h"],
-        decay_samples=values["decay_samples"],
-        power_spread=(values["power_low"], values["power_high"]),
-        seed=values["seed"],
-    )
-    frame = FrameConfig(
-        frame_len=values["n"],
-        cp_len=values["l_cp"],
-        constellation=values["constellation"],
-    )
-    return ScenarioConfig(
-        channel=channel,
-        frame=frame,
-        detectors=parse_detectors(values["detectors"]),
-        snr_sweep_db=parse_sweep(values["snr_sweep"]),
-        frames_per_point=values["frames_per_point"],
-        output=values["output"],
-    )
 
 
 def _resolve_scenario(args: argparse.Namespace) -> ScenarioConfig:

@@ -65,7 +65,8 @@ class FrameConfig:
 
     ``snr_db`` is the input SNR under unit average channel power, so the
     noise variance per received sample is ``10**(-snr_db / 10)``.  Use
-    ``snr_db=inf`` for a noise-free path.
+    ``snr_db=inf`` for a noise-free path; ``nan`` and ``-inf`` (infinite
+    noise) are rejected.
     """
 
     frame_len: int
@@ -74,8 +75,8 @@ class FrameConfig:
     snr_db: float = 0.0
 
     def __post_init__(self):
-        if np.isnan(self.snr_db):
-            raise ValueError("snr_db must not be nan")
+        if np.isnan(self.snr_db) or self.snr_db == -np.inf:
+            raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db}")
         if self.frame_len <= 0:
             raise ValueError("frame_len must be positive")
         if not 0 <= self.cp_len <= self.frame_len:

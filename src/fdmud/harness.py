@@ -1,4 +1,5 @@
-"""Complexity model, SINR metrology, Monte-Carlo runner and CSV reports.
+"""Scenario table and builder, complexity model, SINR metrology, Monte-Carlo
+runner and CSV reports.
 
 The complexity model counts complex multiplies per frequency bin for the two
 MMSE formulations under the standard costing rules: a P x P inversion is P^3
@@ -158,18 +159,52 @@ SCENARIO_TABLE = {
 }
 
 
+def parse_sweep(text: str) -> tuple[float, ...]:
+    """Parse ``start:stop:step`` (inclusive) or a comma-separated dB list."""
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"sweep range must be start:stop:step, got {text!r}")
+        start, stop, step = (float(p) for p in parts)
+        if step <= 0:
+            raise ValueError("sweep step must be positive")
+        count = int(round((stop - start) / step)) + 1
+        points = tuple(start + i * step for i in range(max(count, 0)) if start + i * step <= stop + 1e-9)
+        if not points:
+            raise ValueError(f"empty sweep range {text!r}")
+        return points
+    return tuple(float(p) for p in text.split(","))
+
+
+def parse_detectors(text: str) -> tuple[DetectorKind, ...]:
+    kinds = []
+    for token in text.split(","):
+        token = token.strip()
+        try:
+            kinds.append(DetectorKind(token))
+        except ValueError:
+            known = ", ".join(k.value for k in DetectorKind)
+            raise ValueError(f"unknown detector {token!r}; known: {known}") from None
+    return tuple(kinds)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything the Monte-Carlo runner needs for one sweep."""
 
     channel: ChannelConfig
     frame: FrameConfig
-    detectors: tuple[DetectorKind, ...] = (DetectorKind.MRC_MMSE, DetectorKind.TR_MRC)
-    snr_sweep_db: tuple[float, ...] = tuple(float(v) for v in range(-30, 12, 2))
-    frames_per_point: int = 20
+    detectors: tuple[DetectorKind, ...] = parse_detectors(SCENARIO_TABLE["detectors"][0])
+    snr_sweep_db: tuple[float, ...] = parse_sweep(SCENARIO_TABLE["snr_sweep"][0])
+    frames_per_point: int = SCENARIO_TABLE["frames_per_point"][0]
     output: str | None = None
 
     def __post_init__(self):
+        if self.channel.frame_len != self.frame.frame_len:
+            raise ValueError(
+                f"channel frame_len {self.channel.frame_len} does not match "
+                f"frame frame_len {self.frame.frame_len}"
+            )
         if self.frames_per_point < 1:
             raise ValueError("frames_per_point must be at least 1")
         if len(self.snr_sweep_db) == 0:
@@ -179,6 +214,32 @@ class ScenarioConfig:
                 raise ValueError(f"SNR sweep point {idx} ({snr_db} dB) is not finite")
         if len(self.detectors) == 0:
             raise ValueError("at least one detector kind is required")
+
+
+def build_scenario(values: dict) -> ScenarioConfig:
+    """The scenario for one value per ``SCENARIO_TABLE`` key."""
+    channel = ChannelConfig(
+        num_antennas=values["m"],
+        num_users=values["k"],
+        frame_len=values["n"],
+        channel_len=values["l_h"],
+        decay_samples=values["decay_samples"],
+        power_spread=(values["power_low"], values["power_high"]),
+        seed=values["seed"],
+    )
+    frame = FrameConfig(
+        frame_len=values["n"],
+        cp_len=values["l_cp"],
+        constellation=values["constellation"],
+    )
+    return ScenarioConfig(
+        channel=channel,
+        frame=frame,
+        detectors=parse_detectors(values["detectors"]),
+        snr_sweep_db=parse_sweep(values["snr_sweep"]),
+        frames_per_point=values["frames_per_point"],
+        output=values["output"],
+    )
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
-Each test prints one PASS line once its assertions hold, so a verbose run
-doubles as the acceptance report.  The Monte-Carlo sweep (criteria 5 and 9)
-runs once per session and is shared.
+Each numbered test prints one PASS line once its assertions hold, so a
+verbose run doubles as the acceptance report.  The ``verify`` checks take only
+a seed; their tolerances are pinned by value in
+``test_verify_tolerances_pinned`` and their trial and bin counts are asserted
+from each detail line.  The Monte-Carlo sweep (criteria 5 and 9) runs once
+per session and is shared.
 """
 
 import numpy as np
@@ -19,6 +22,7 @@ from fdmud.harness import (
     run_monte_carlo,
 )
 from fdmud.verify import (
+    TOLERANCES,
     check_cache_conjugate_reuse,
     check_cp_circularity,
     check_detector_equivalence,
@@ -62,18 +66,19 @@ def reference_sweep():
 
 
 def test_criterion_1_detector_equivalence():
-    result = check_detector_equivalence(
-        trials=1000, seed=101, tol=1e-9, m_choices=(4, 16, 64), sigma2_range=(1e-4, 1e2)
-    )
+    result = check_detector_equivalence(seed=101)
     assert result.passed, result.detail
+    assert "over 1000 trials" in result.detail
     report(1, result.detail)
 
 
 def test_criterion_2_matrix_identity_and_unbias_match():
-    identity = check_pushthrough_identity(trials=100, seed=102, tol=1e-10)
+    identity = check_pushthrough_identity(seed=102)
     assert identity.passed, identity.detail
-    coeffs = check_unbias_coefficients_match(trials=100, seed=103, tol=1e-10)
+    assert "over 100 trials" in identity.detail
+    coeffs = check_unbias_coefficients_match(seed=103)
     assert coeffs.passed, coeffs.detail
+    assert "over 100 trials" in coeffs.detail
     report(2, f"{identity.detail}; {coeffs.detail}")
 
 
@@ -173,25 +178,45 @@ def test_criterion_5c_operating_point(reference_sweep):
 
 
 def test_criterion_6_noise_gain_trace():
-    result = check_noise_gain_trace(num_antennas=64, num_users=14, draws=10_000, seed=106, rel_tol=0.02)
+    result = check_noise_gain_trace(seed=106)
     assert result.passed, result.detail
+    assert "vs expected 0.020000" in result.detail  # 1 / (64 - 14)
     report(6, result.detail)
 
 
 def test_criterion_7_cp_property():
-    result = check_cp_circularity(sizes=(8, 16, 64), seed=107, tol=1e-10)
+    result = check_cp_circularity(seed=107)
     assert result.passed, result.detail
+    assert "at sizes (8, 16, 64)" in result.detail
     report(7, result.detail)
 
 
 def test_criterion_8_precoder_reuse():
-    reuse = check_cache_conjugate_reuse(seed=108, tol=1e-10)
+    reuse = check_cache_conjugate_reuse(seed=108)
     assert reuse.passed, reuse.detail
-    forms = check_precoder_forms_agree(trials=100, seed=109, tol=1e-10)
+    assert "over 2048 bins" in reuse.detail
+    forms = check_precoder_forms_agree(seed=109)
     assert forms.passed, forms.detail
-    zf = check_precoder_zf_limit(trials=50, seed=110, tol=1e-5, sigma_w2=1e-10)
+    assert "over 100 trials" in forms.detail
+    zf = check_precoder_zf_limit(seed=110)
     assert zf.passed, zf.detail
+    assert "at sigma_w2=1e-10" in zf.detail
     report(8, f"{reuse.detail}; {forms.detail}; {zf.detail}")
+
+
+def test_verify_tolerances_pinned():
+    assert TOLERANCES == {
+        "detector-equivalence": 1e-9,
+        "pushthrough-identity": 1e-10,
+        "unbias-coefficients-match": 1e-10,
+        "end-to-end-unit-gain": 1e-10,
+        "noise-gain-trace": 0.02,
+        "cp-circularity": 1e-10,
+        "precoder-forms-agree": 1e-10,
+        "cache-conjugate-reuse": 1e-10,
+        "precoder-zf-limit": 1e-5,
+        "precode-frame-paths": 1e-10,
+    }
 
 
 def test_criterion_9_tr_mrc_separation(reference_sweep):

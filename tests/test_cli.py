@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fdmud import cli
-from fdmud.cli import build_scenario, main, parse_config_file, parse_detectors, parse_sweep
+from fdmud import cli, verify
+from fdmud.cli import main, parse_config_file
 from fdmud.detect import DetectorKind
-from fdmud.harness import SCENARIO_TABLE, SinrReport
+from fdmud.harness import SCENARIO_TABLE, SinrReport, build_scenario, parse_detectors, parse_sweep
 
 
 FAST_ARGS = [
@@ -136,6 +136,24 @@ class TestVerifySuites:
         lines = [l for l in out.splitlines() if l]
         assert len(lines) == 6
         assert all(l.startswith("PASS") for l in lines)
+        counts = [l.split(" over ")[-1].split(" (")[0] for l in lines if " over " in l]
+        assert counts == ["1000 trials", "100 trials", "100 trials", "50 trials"]
+
+    def test_verify_reports_a_failing_check(self, capsys, monkeypatch):
+        # an MRC-MMSE estimate off by 1e-7 breaks both checks that use it
+        exact = verify.mrcmmse_bin
+
+        def skewed(a, z, sigma_w2):
+            est, gain = exact(a, z, sigma_w2)
+            return est * (1 + 1e-7), gain
+
+        monkeypatch.setattr(verify, "mrcmmse_bin", skewed)
+        rc = main(["verify", "--seed", "2"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        failed = [l.split(":")[0] for l in captured.out.splitlines() if l.startswith("FAIL")]
+        assert failed == ["FAIL  detector-equivalence", "FAIL  end-to-end-unit-gain"]
+        assert captured.err == "2 check(s) failed\n"
 
     def test_precode_check_passes(self, capsys):
         rc = main(["precode-check", "--seed", "2"])
@@ -144,3 +162,4 @@ class TestVerifySuites:
         lines = [l for l in out.splitlines() if l]
         assert len(lines) == 4
         assert all(l.startswith("PASS") for l in lines)
+        assert "over 2048 bins" in lines[1]

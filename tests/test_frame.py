@@ -238,6 +238,11 @@ class TestFrameConfig:
         with pytest.raises(ValueError, match="nan"):
             FrameConfig(frame_len=8, cp_len=2, snr_db=float("nan"))
 
+    def test_minus_inf_snr_rejected(self):
+        # infinite noise would pass the detectors' sigma_w2 > 0 check
+        with pytest.raises(ValueError, match="-inf"):
+            FrameConfig(frame_len=8, cp_len=2, snr_db=-np.inf)
+
     def test_bad_lengths(self):
         with pytest.raises(ValueError):
             FrameConfig(frame_len=0, cp_len=0)

@@ -6,7 +6,9 @@ from fdmud.channel import BinChannel, ChannelConfig
 from fdmud.detect import DetectionResult, DetectorKind
 from fdmud.frame import FrameConfig, SymbolFrame
 from fdmud.harness import (
+    SCENARIO_TABLE,
     ScenarioConfig,
+    build_scenario,
     capacity,
     complexity_sweep,
     count_mults_mmse,
@@ -293,3 +295,16 @@ class TestRunMonteCarlo:
     def test_non_finite_sweep_point_rejected(self, bad):
         with pytest.raises(ValueError, match=r"point 1 \((nan|inf|-inf) dB\)"):
             tiny_scenario(snr_sweep_db=(0.0, bad))
+
+    def test_mismatched_frame_lengths_rejected(self):
+        # caught where the scenario is built, before any channel is drawn
+        short = FrameConfig(frame_len=8, cp_len=4)
+        with pytest.raises(ValueError, match=r"channel frame_len 32 .* frame frame_len 8"):
+            tiny_scenario(frame=short)
+
+    def test_field_defaults_are_the_table_defaults(self):
+        table = build_scenario({key: row[0] for key, row in SCENARIO_TABLE.items()})
+        bare = ScenarioConfig(channel=table.channel, frame=table.frame)
+        assert bare.detectors == table.detectors
+        assert bare.snr_sweep_db == table.snr_sweep_db
+        assert bare.frames_per_point == table.frames_per_point
