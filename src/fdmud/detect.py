@@ -2,23 +2,25 @@
 
 The detectors share the per-bin signal model ``y_n = A_n s_n + w_n``:
 
-* ``mmse_bin``: unbiased MMSE using the M x M receive-side solve.
-* ``mrcmmse_bin``: unbiased MMSE applied to the K matched-filter /
-  ratio-combined statistics of ``mrc_bin``, needing only a K x K inverse.
-  Algebraically identical to ``mmse_bin``; the equality is enforced by the
-  test suite, not assumed at runtime, so the two stay separate code.
-* ``lowsnr_bin``: the noise-dominated limit, a diagonally-unbiased matched
-  filter independent of the noise variance.
-* ``highsnr_bin``: the zero-forcing limit.
+* ``MMSE``: unbiased MMSE using the M x M receive-side solve.
+* ``MRC_MMSE``: unbiased MMSE applied to the K matched-filter /
+  ratio-combined statistics ``A^H y``, needing only a K x K inverse.
+  Algebraically identical to ``MMSE``; the equality is enforced by the test
+  suite, not assumed at runtime, so the two stay separate code.
+* ``TR_MRC`` and ``LOW_SNR``: the diagonally-unbiased matched filter
+  ``A^H y / diag(A^H A)``, independent of the noise variance.  It is the
+  time-reversal MRC baseline and also the noise-dominated limit of unbiased
+  MMSE, so both kinds run the one kernel.
+* ``HIGH_SNR_ZF``: the zero-forcing limit.
 
-Each detector, and the plain TR-MRC baseline, is one private kernel over a
-stack of bins.  ``detect_frame`` runs it on all N bins and returns
-time-domain estimates; each ``*_bin`` function runs it on one bin as the
-N = 1 stack.  Only the M x M MMSE kernel loops over bins.  Every unbiasing
-reciprocal goes through one guard that names the first bin whose gain
-vanishes.  The MRC-MMSE kernel also returns its per-bin regularized Gram
-inverses and per-user unbiasing coefficients so the downlink precoder can
-reuse both.
+Each estimator is one private kernel over a stack of bins.  ``detect_frame``
+runs it on all N bins and returns time-domain estimates; ``mmse_bin``,
+``mrc_bin`` and ``mrcmmse_bin`` are the single-bin entry points, the first
+and last running their kernel as the N = 1 stack.  Only the M x M MMSE
+kernel loops over bins.  Every unbiasing reciprocal goes through one guard
+that names the first bin whose gain vanishes.  The MRC-MMSE kernel also
+returns its per-bin regularized Gram inverses and per-user unbiasing
+coefficients so the downlink precoder can reuse both.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ __all__ = [
     "mmse_bin",
     "mrc_bin",
     "mrcmmse_bin",
-    "lowsnr_bin",
-    "highsnr_bin",
     "detect_frame",
 ]
 
@@ -117,19 +117,8 @@ def _unbias(gain: np.ndarray) -> np.ndarray:
 def _check_sigma(sigma_w2: float) -> None:
     if not sigma_w2 > 0:
         raise ValueError(
-            "sigma_w2 must be positive; use highsnr_bin (HIGH_SNR_ZF) for the noise-free limit"
+            "sigma_w2 must be positive; use DetectorKind.HIGH_SNR_ZF for the noise-free limit"
         )
-
-
-def _invert_gram_stack(gram: np.ndarray, shift: float) -> np.ndarray:
-    """Invert every (K x K) slice of ``gram + shift I``, naming a failing bin."""
-    try:
-        return invert_hpd(gram + shift * np.eye(gram.shape[-1]))
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"bin {exc.index}: Cholesky factorization failed (not positive definite)",
-            index=exc.index,
-        ) from exc
 
 
 def _matched(a_h: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -165,30 +154,26 @@ def _mrc_mmse(a, a_h, matched, sigma_w2: float) -> tuple[np.ndarray, InverseCach
     """:func:`mrcmmse_bin` for every bin, from ``matched`` = ``A^H y``; also returns the cache."""
     _check_sigma(sigma_w2)
     gram = np.matmul(a_h, a)  # (N, K, K)
-    inverses = _invert_gram_stack(gram, sigma_w2)
+    inverses = invert_hpd(gram + sigma_w2 * np.eye(gram.shape[-1]))
     # diag(inv G) = diag(I - sigma_w2 inv) is real; the imaginary part is rounding.
     unbias = _unbias(diag_of_product(inverses, gram).real)
     est = unbias * np.matmul(inverses, matched[:, :, np.newaxis])[..., 0]
     return est, InverseCache(inv=inverses, sigma_w2=float(sigma_w2), unbias=unbias)
 
 
-def _tr_mrc(a, a_h, matched) -> np.ndarray:
-    """TR-MRC: ``(1/M) A^H y`` scaled per user by ``M / diag(A^H A)``.
-
-    That diagonal unbias splits its error cleanly into interference plus noise.
-    """
-    m_ant = a.shape[1]
-    return (matched / m_ant) * (m_ant * _unbias(diag_of_product(a_h, a).real))
-
-
 def _low_snr(a, a_h, matched) -> np.ndarray:
-    """The noise-dominated limit ``inv(diag(A^H A)) A^H y``."""
+    """TR-MRC, which is also the noise-dominated limit: ``inv(diag(A^H A)) A^H y``.
+
+    TR-MRC's ``(1/M) A^H y`` scaled per user by ``M / diag(A^H A)`` is the
+    same estimator; the diagonal unbias splits its error cleanly into
+    interference plus noise.
+    """
     return _unbias(diag_of_product(a_h, a).real) * matched
 
 
 def _zf(a, a_h, matched) -> np.ndarray:
     """The zero-forcing limit ``(A^H A)^-1 A^H y``."""
-    inverses = _invert_gram_stack(np.matmul(a_h, a), 0.0)
+    inverses = invert_hpd(np.matmul(a_h, a))
     return np.matmul(inverses, matched[:, :, np.newaxis])[..., 0]
 
 
@@ -204,13 +189,6 @@ def _check_bin_args(a_n, y_n, tall: bool = False):
     return a_n, y_n
 
 
-def _bin_stack(a_n: np.ndarray, y_n: np.ndarray):
-    """One bin as the N = 1 stack: ``(a, a_h, A^H y)``."""
-    a = a_n[np.newaxis]
-    a_h = a.conj().transpose(0, 2, 1)
-    return a, a_h, _matched(a_h, y_n[np.newaxis])
-
-
 def mmse_bin(a_n, y_n, sigma_w2: float) -> np.ndarray:
     """Unbiased per-bin MMSE estimate via the M x M receive-side solve.
 
@@ -219,7 +197,7 @@ def mmse_bin(a_n, y_n, sigma_w2: float) -> np.ndarray:
     end-to-end map, making each user's estimate unbiased.
 
     ``sigma_w2`` must be strictly positive; for the noise-free limit use
-    :func:`highsnr_bin`, which is the same estimator without regularization.
+    ``DetectorKind.HIGH_SNR_ZF``, the same estimator without regularization.
     """
     a_n, y_n = _check_bin_args(a_n, y_n, tall=True)
     return _mmse(a_n[np.newaxis], y_n[np.newaxis], sigma_w2)[0]
@@ -228,7 +206,8 @@ def mmse_bin(a_n, y_n, sigma_w2: float) -> np.ndarray:
 def mrc_bin(a_n, y_n) -> np.ndarray:
     """Matched-filter / ratio-combined statistic ``(1/M) A^H y`` (length K)."""
     a_n, y_n = _check_bin_args(a_n, y_n)
-    return _bin_stack(a_n, y_n)[2][0] / a_n.shape[0]
+    a_h = a_n[np.newaxis].conj().transpose(0, 2, 1)
+    return _matched(a_h, y_n[np.newaxis])[0] / a_n.shape[0]
 
 
 def mrcmmse_bin(a_n, r_n, sigma_w2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -260,40 +239,18 @@ def mrcmmse_bin(a_n, r_n, sigma_w2: float) -> tuple[np.ndarray, np.ndarray]:
     return est[0], cache.inv[0]
 
 
-def lowsnr_bin(a_n, y_n) -> np.ndarray:
-    """Noise-dominated limit: diagonally-unbiased matched filter.
-
-    Computes ``inv(diag(A^H A)) A^H y``; no noise variance is needed.  A
-    vanishing diagonal entry (an all-zero channel column) raises
-    :class:`~fdmud.numerics.DegenerateScaleError`.
-    """
-    a_n, y_n = _check_bin_args(a_n, y_n)
-    return _low_snr(*_bin_stack(a_n, y_n))[0]
-
-
-def highsnr_bin(a_n, y_n) -> np.ndarray:
-    """Zero-forcing limit ``(A^H A)^-1 A^H y``; exact on noise-free input.
-
-    Raises :class:`~fdmud.numerics.SingularMatrixError` when ``a_n`` is not
-    full column rank.
-    """
-    a_n, y_n = _check_bin_args(a_n, y_n, tall=True)
-    return _zf(*_bin_stack(a_n, y_n))[0]
-
-
 def detect_frame(
     rf: ReceivedFrame, bc: BinChannel, sigma_w2: float, kind: DetectorKind
 ) -> DetectionResult:
     """Run one detector over all N bins and return time-domain estimates.
 
     The received frame must already be in the frequency domain.  Bins are
-    processed independently, by the same kernel the ``*_bin`` functions call
-    on one bin.  For ``DetectorKind.MRC_MMSE`` the per-bin K x K inverses and
-    unbiasing coefficients are collected into an :class:`InverseCache` on the
-    result.  A singular bin raises
-    :class:`~fdmud.numerics.SingularMatrixError` and a zero-power channel
-    column :class:`~fdmud.numerics.DegenerateScaleError`, each naming the
-    first offending bin.
+    processed independently; ``TR_MRC`` and ``LOW_SNR`` run the same kernel.
+    For ``DetectorKind.MRC_MMSE`` the per-bin K x K inverses and unbiasing
+    coefficients are collected into an :class:`InverseCache` on the result.
+    A singular bin raises :class:`~fdmud.numerics.SingularMatrixError` and a
+    zero-power channel column :class:`~fdmud.numerics.DegenerateScaleError`,
+    each naming the first offending bin.
     """
     if rf.domain != FREQUENCY:
         raise ValueError("detect_frame requires a frequency-domain frame")
@@ -312,9 +269,7 @@ def detect_frame(
         matched = _matched(a_h, y)
         if kind is DetectorKind.MRC_MMSE:
             est, cache = _mrc_mmse(a, a_h, matched, sigma_w2)
-        elif kind is DetectorKind.TR_MRC:
-            est = _tr_mrc(a, a_h, matched)
-        elif kind is DetectorKind.LOW_SNR:
+        elif kind in (DetectorKind.TR_MRC, DetectorKind.LOW_SNR):
             est = _low_snr(a, a_h, matched)
         elif kind is DetectorKind.HIGH_SNR_ZF:
             est = _zf(a, a_h, matched)

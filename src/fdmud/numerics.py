@@ -2,8 +2,10 @@
 
 ``invert_hpd`` and ``solve_hpd`` factorize via Cholesky and reject input that
 is not finite and Hermitian; ``diag_of_product`` takes the diagonal of a
-product without forming it.  Everything else the algebra needs is plain NumPy
-(``@``, ``.conj()``, ``np.fft``).
+product without forming it.  A stack holds one matrix per bin, so the errors
+name the first failing matrix ``bin i`` and callers pass them on unchanged.
+Everything else the algebra needs is plain NumPy (``@``, ``.conj()``,
+``np.fft``).
 
 All operations are pure functions on immutable inputs and are safe to call
 concurrently.  Scalars are double precision throughout.
@@ -29,7 +31,7 @@ HERMITIAN_TOL = 1e-10
 class SingularMatrixError(np.linalg.LinAlgError):
     """Hermitian factorization hit a non-positive pivot.
 
-    ``index`` is the flat position of the failing slice in the stack that was
+    ``index`` is the flat position of the failing bin in the stack that was
     factorized (0 for a single matrix).
     """
 
@@ -52,8 +54,8 @@ def _as_matrix(a, name: str = "a") -> np.ndarray:
 def _check_hermitian(m) -> np.ndarray:
     """Validate a square matrix, or a stack of them, as finite and Hermitian.
 
-    Each slice is held to ``HERMITIAN_TOL`` relative to its own largest
-    magnitude entry, so a large slice cannot mask a small one's asymmetry.
+    Each bin is held to ``HERMITIAN_TOL`` relative to its own largest
+    magnitude entry, so a large bin cannot mask a small one's asymmetry.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.size == 0:
@@ -66,7 +68,7 @@ def _check_hermitian(m) -> np.ndarray:
     skew = np.abs(m - np.swapaxes(m, -2, -1).conj()).max(axis=(-2, -1))
     bad = np.flatnonzero(skew > HERMITIAN_TOL * scale)
     if bad.size:
-        raise ValueError(f"slice {bad[0]}: m is not Hermitian within tolerance")
+        raise ValueError(f"bin {bad[0]}: m is not Hermitian within tolerance")
     return m
 
 
@@ -92,7 +94,7 @@ def invert_hpd(m) -> np.ndarray:
     ----------
     m : array_like
         A square matrix, or a stack of them with shape ``(..., P, P)``; a
-        2-D input is the one-slice case.  Each slice must be Hermitian within
+        2-D input is the one-bin case.  Each bin must be Hermitian within
         ``HERMITIAN_TOL`` relative to its own largest magnitude entry.
 
     Returns
@@ -105,22 +107,23 @@ def invert_hpd(m) -> np.ndarray:
     ------
     ValueError
         If the input is not square/finite/Hermitian; the message names the
-        first offending slice.
+        first offending bin.
     SingularMatrixError
-        If a factorization fails (slice not positive definite).  ``index``
-        holds the flat position of the first failing slice.
+        If a factorization fails (bin not positive definite).  ``index``
+        holds the flat position of the first failing bin, which the message
+        names as ``bin i``.
     """
     m = _check_hermitian(m)
     try:
         low = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
-        # Cold path: the stacked call does not say which slice failed.
+        # Cold path: the stacked call does not say which bin failed.
         for idx, piece in enumerate(m.reshape(-1, *m.shape[-2:])):
             try:
                 np.linalg.cholesky(piece)
             except np.linalg.LinAlgError:
                 raise SingularMatrixError(
-                    f"slice {idx}: Cholesky factorization failed (not positive definite)",
+                    f"bin {idx}: Cholesky factorization failed (not positive definite)",
                     index=idx,
                 ) from exc
         raise

@@ -11,9 +11,9 @@ downlink Gram at all.  The direct path forms its own Gram stack and inverts
 it with one stacked call; its agreement with the cache path is the
 cross-check the test suite runs.
 
-The precoder algebra is one private kernel over a whole stack of bins:
-``precode_frame`` applies it to all N bins, and ``mmse_precode_bin`` is its
-N = 1 call.  End-to-end downlink performance evaluation is out of scope.
+The precoder algebra is written once, over a whole stack of bins, in
+``precode_frame``; one bin is the N = 1 frame (a length-1 unitary DFT is the
+identity).  End-to-end downlink performance evaluation is out of scope.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ import numpy as np
 from .channel import BinChannel
 from .detect import InverseCache, _unbias
 from .frame import SymbolFrame
-from .numerics import SingularMatrixError, diag_of_product, invert_hpd
+from .numerics import diag_of_product, invert_hpd
 
 __all__ = [
     "PowerAllocation",
     "PrecodeResult",
-    "mmse_precode_bin",
     "precode_frame",
 ]
 
@@ -72,55 +71,6 @@ class PrecodeResult:
         return float(np.sum(np.abs(self.x) ** 2))
 
 
-def _precode(a, s_fd, sigma_w2: float, p_sqrt, dl_inv=None, beta=None):
-    """Precode every bin: ``x_n = A_n^* dl_inv_n P^(1/2) (beta_n o s_n)``.
-
-    ``a`` is (N, M, K) and ``s_fd`` (N, K).  Without ``dl_inv`` the downlink
-    Gram ``A^T A^* + sigma_w2 I`` is formed and inverted; without ``beta``
-    the per-user unbiasing is taken from that Gram and ``dl_inv``.  Returns
-    the (N, M) transmit samples and the (N, K) ``beta`` applied.
-    """
-    if beta is None:
-        gram_dl = np.matmul(a.transpose(0, 2, 1), a.conj())  # (N, K, K): A^T A^*
-        if dl_inv is None:
-            try:
-                dl_inv = invert_hpd(gram_dl + sigma_w2 * np.eye(a.shape[2]))
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(
-                    f"bin {exc.index}: Cholesky factorization failed (not positive definite)",
-                    index=exc.index,
-                ) from exc
-        beta = _unbias(diag_of_product(gram_dl, dl_inv).real)
-    v = np.matmul(dl_inv, (p_sqrt * beta * s_fd)[:, :, np.newaxis])  # (N, K, 1)
-    # A^* v as conj(A conj(v)): the same products, without a conjugated copy of A.
-    return np.matmul(a, v.conj()).conj()[..., 0], beta
-
-
-def mmse_precode_bin(a_n, s_n, sigma_w2: float, power: PowerAllocation, dl_inv) -> np.ndarray:
-    """Precode one bin's K symbols into M transmit samples.
-
-    Computes ``A^* dl_inv P^(1/2) (beta o s)`` with ``beta`` the per-user
-    scale making the noiseless end-to-end downlink gain unity; ``dl_inv``
-    must be the downlink inverse consistent with ``(a_n, sigma_w2)``, e.g.
-    the conjugate of an uplink :class:`~fdmud.detect.InverseCache` entry.
-    """
-    a_n = np.asarray(a_n)
-    s_n = np.asarray(s_n)
-    dl_inv = np.asarray(dl_inv)
-    if a_n.ndim != 2:
-        raise ValueError(f"a_n must be 2-D, got shape {a_n.shape}")
-    k = a_n.shape[1]
-    if s_n.shape != (k,) or dl_inv.shape != (k, k) or power.p_sqrt.shape != (k,):
-        raise ValueError(
-            f"inconsistent shapes: a_n {a_n.shape}, s_n {s_n.shape}, "
-            f"dl_inv {dl_inv.shape}, p_sqrt {power.p_sqrt.shape}"
-        )
-    if sigma_w2 < 0:
-        raise ValueError("sigma_w2 must be non-negative")
-    x, _ = _precode(a_n[np.newaxis], s_n[np.newaxis], sigma_w2, power.p_sqrt, dl_inv[np.newaxis])
-    return x[0]
-
-
 def precode_frame(
     sf: SymbolFrame,
     bc: BinChannel,
@@ -131,17 +81,23 @@ def precode_frame(
     """Precode a whole symbol frame into M frequency-domain transmit streams.
 
     Symbols are transformed per user with the unitary DFT and each bin is
-    precoded independently.  When ``cache`` is given, the downlink inverses
-    are its conjugated entries and the unbiasing scalars its ``unbias``;
-    otherwise both are computed directly from the downlink Gram.  Both paths
-    agree to rounding, which the test suite checks.  On the direct path a
-    singular bin raises :class:`~fdmud.numerics.SingularMatrixError` and a
-    zero-power channel column :class:`~fdmud.numerics.DegenerateScaleError`,
-    each naming the first offending bin.
+    precoded independently as ``x_n = A_n^* dl_inv_n P^(1/2) (beta_n o s_n)``,
+    with ``beta`` the per-user scale making the noiseless end-to-end downlink
+    gain unity.  When ``cache`` is given, the downlink inverses are its
+    conjugated entries and the unbiasing scalars its ``unbias``; otherwise
+    both are computed directly from the downlink Gram
+    ``A^T A^* + sigma_w2 I``.  Both paths agree to rounding, which the test
+    suite checks.  ``sigma_w2`` must be finite and non-negative; zero gives
+    the zero-forcing precoder.  On the direct path a singular bin raises
+    :class:`~fdmud.numerics.SingularMatrixError` and a zero-power channel
+    column :class:`~fdmud.numerics.DegenerateScaleError`, each naming the
+    first offending bin.
 
     No transmit sum-power renormalization is applied; callers wanting a power
     diagnostic can take ``norm(x)**2`` themselves.
     """
+    if not (np.isfinite(sigma_w2) and sigma_w2 >= 0):
+        raise ValueError(f"sigma_w2 must be finite and non-negative, got {sigma_w2}")
     symbols = np.asarray(sf.symbols)
     a = np.asarray(bc.a)
     n_bins, m_ant, k_usr = a.shape
@@ -164,5 +120,12 @@ def precode_frame(
             )
         dl_inv = np.conj(cache.inv)
         beta = cache.unbias
-    x, beta = _precode(a, s_fd, sigma_w2, power.p_sqrt, dl_inv, beta)
+    if beta is None:
+        gram_dl = np.matmul(a.transpose(0, 2, 1), a.conj())  # (N, K, K): A^T A^*
+        if dl_inv is None:
+            dl_inv = invert_hpd(gram_dl + sigma_w2 * np.eye(k_usr))
+        beta = _unbias(diag_of_product(gram_dl, dl_inv).real)
+    v = np.matmul(dl_inv, (power.p_sqrt * beta * s_fd)[:, :, np.newaxis])  # (N, K, 1)
+    # A^* v as conj(A conj(v)): the same products, without a conjugated copy of A.
+    x = np.matmul(a, v.conj()).conj()[..., 0]
     return PrecodeResult(x=x.T, beta_used=beta.T)

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, draw_channel, to_bin_channels
+from .channel import BinChannel, ChannelConfig, draw_channel, to_bin_channels
 from .detect import DetectorKind, detect_frame, mmse_bin, mrc_bin, mrcmmse_bin
-from .frame import FrameConfig, generate_symbols, to_frequency_domain, transmit
+from .frame import FrameConfig, SymbolFrame, generate_symbols, to_frequency_domain, transmit
 from .harness import SCENARIO_TABLE, build_scenario
 from .numerics import diag_of_product, invert_hpd
-from .precode import PowerAllocation, mmse_precode_bin, precode_frame
+from .precode import precode_frame
 
 __all__ = [
     "CheckResult",
@@ -61,8 +61,10 @@ class CheckResult:
 
 
 def _result(name: str, worst: float, detail: str) -> CheckResult:
+    # The checks fold deviations with np.maximum, which keeps a nan where
+    # Python's max drops it, so a route returning nan fails here.
     tol = TOLERANCES[name]
-    return CheckResult(name=name, passed=worst <= tol, detail=f"{detail} (tol {tol:g})")
+    return CheckResult(name=name, passed=bool(worst <= tol), detail=f"{detail} (tol {tol:g})")
 
 
 def _crandn(rng, *shape) -> np.ndarray:
@@ -110,7 +112,7 @@ def check_detector_equivalence(seed: int = 0) -> CheckResult:
         y = _crandn(rng, a.shape[0])
         direct = mmse_bin(a, y, sigma_w2)
         via_mrc, _ = mrcmmse_bin(a, mrc_bin(a, y), sigma_w2)
-        worst = max(worst, _max_rel_diff(direct, via_mrc))
+        worst = np.maximum(worst, _max_rel_diff(direct, via_mrc))
     return _result("detector-equivalence", worst, f"max relative difference {worst:.3e} over {trials} trials")
 
 
@@ -123,7 +125,7 @@ def check_pushthrough_identity(seed: int = 1) -> CheckResult:
         big = a.conj().T @ (invert_hpd(a @ a.conj().T + sigma_w2 * np.eye(m)) @ a)
         gram = a.conj().T @ a
         small = invert_hpd(gram + sigma_w2 * np.eye(k)) @ gram
-        worst = max(worst, float(np.abs(big - small).max()))
+        worst = np.maximum(worst, float(np.abs(big - small).max()))
     return _result("pushthrough-identity", worst, f"max matrix deviation {worst:.3e} over {trials} trials")
 
 
@@ -137,7 +139,7 @@ def check_unbias_coefficients_match(seed: int = 2) -> CheckResult:
         coeff_m = 1.0 / diag_of_product(filt, a)
         gram = a.conj().T @ a
         coeff_k = 1.0 / diag_of_product(invert_hpd(gram + sigma_w2 * np.eye(k)), gram)
-        worst = max(worst, float(np.abs(coeff_m - coeff_k).max()))
+        worst = np.maximum(worst, float(np.abs(coeff_m - coeff_k).max()))
     return _result(
         "unbias-coefficients-match", worst, f"max coefficient deviation {worst:.3e} over {trials} trials"
     )
@@ -150,9 +152,9 @@ def check_end_to_end_unit_gain(seed: int = 3) -> CheckResult:
     for _, a, sigma_w2 in _instances(seed, trials, (4, 16)):
         for col, probe in enumerate(np.eye(a.shape[1], dtype=complex)):
             y = a @ probe
-            worst = max(worst, abs(mmse_bin(a, y, sigma_w2)[col] - 1.0))
+            worst = np.maximum(worst, abs(mmse_bin(a, y, sigma_w2)[col] - 1.0))
             est, _ = mrcmmse_bin(a, mrc_bin(a, y), sigma_w2)
-            worst = max(worst, abs(est[col] - 1.0))
+            worst = np.maximum(worst, abs(est[col] - 1.0))
     return _result("end-to-end-unit-gain", worst, f"max |diag gain - 1| = {worst:.3e} over {trials} trials")
 
 
@@ -171,7 +173,7 @@ def check_noise_gain_trace(seed: int = 4) -> CheckResult:
     tol = TOLERANCES["noise-gain-trace"]
     return CheckResult(
         name="noise-gain-trace",
-        passed=rel_err <= tol,
+        passed=bool(rel_err <= tol),
         detail=(
             f"per-user noise gain {measured:.6f} vs expected {expected:.6f} "
             f"({rel_err * 100:.2f}% off, tol {tol * 100:g}%)"
@@ -201,7 +203,7 @@ def check_cp_circularity(seed: int = 5) -> CheckResult:
         rf = to_frequency_domain(transmit(sf, realization, fc, rng))
         s_fd = np.fft.fft(sf.symbols, axis=1, norm="ortho")
         predicted = np.matmul(bins.a, s_fd.T[:, :, np.newaxis])[..., 0].T
-        worst = max(worst, float(np.abs(rf.samples - predicted).max()))
+        worst = np.maximum(worst, float(np.abs(rf.samples - predicted).max()))
     return _result("cp-circularity", worst, f"max |transmit - per-bin model| = {worst:.3e} at sizes {sizes}")
 
 
@@ -213,7 +215,7 @@ def check_precoder_forms_agree(seed: int = 6) -> CheckResult:
         m, k = a.shape
         small = a.conj() @ invert_hpd(a.T @ a.conj() + sigma_w2 * np.eye(k))
         big = invert_hpd(a.conj() @ a.T + sigma_w2 * np.eye(m)) @ a.conj()
-        worst = max(worst, float(np.abs(small - big).max()))
+        worst = np.maximum(worst, float(np.abs(small - big).max()))
     return _result("precoder-forms-agree", worst, f"max matrix deviation {worst:.3e} over {trials} trials")
 
 
@@ -239,9 +241,8 @@ def check_precoder_zf_limit(seed: int = 8) -> CheckResult:
     for _ in range(trials):
         a = _crandn(rng, m, k)
         s = _crandn(rng, k)
-        dl_inv = invert_hpd(a.T @ a.conj() + sigma_w2 * np.eye(k))
-        x = mmse_precode_bin(a, s, sigma_w2, PowerAllocation.uniform(k), dl_inv)
-        worst = max(worst, float(np.abs(a.T @ x - s).max()))
+        x = precode_frame(SymbolFrame(s[:, None]), BinChannel(a[None]), sigma_w2).x[:, 0]
+        worst = np.maximum(worst, float(np.abs(a.T @ x - s).max()))
     return _result("precoder-zf-limit", worst, f"max |A^T x - s| = {worst:.3e} at sigma_w2={sigma_w2:g}")
 
 

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from fdmud.channel import BinChannel
+from fdmud.detect import detect_frame
+from fdmud.frame import ReceivedFrame
+
 
 def crandn(rng, *shape):
     """Circularly-symmetric complex Gaussian with unit variance per entry."""
@@ -14,6 +18,17 @@ def dft_matrix(n, unitary=True):
     grid = np.outer(np.arange(n), np.arange(n))
     mat = np.exp(-2j * np.pi * grid / n)
     return mat / np.sqrt(n) if unitary else mat
+
+
+def detect_bin(a_n, y_n, kind, sigma_w2=0.0):
+    """One bin through ``detect_frame`` as the N = 1 frame: its K estimates.
+
+    A length-1 unitary inverse DFT is the identity, so ``s_hat_time[:, 0]``
+    is the bin estimate itself.
+    """
+    rf = ReceivedFrame(samples=np.asarray(y_n)[:, np.newaxis], domain="frequency")
+    bins = BinChannel(a=np.asarray(a_n)[np.newaxis])
+    return detect_frame(rf, bins, sigma_w2, kind).s_hat_time[:, 0]
 
 
 @pytest.fixture

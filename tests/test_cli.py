@@ -155,6 +155,25 @@ class TestVerifySuites:
         assert failed == ["FAIL  detector-equivalence", "FAIL  end-to-end-unit-gain"]
         assert captured.err == "2 check(s) failed\n"
 
+    @pytest.mark.parametrize(
+        "check, call", [(verify.check_detector_equivalence, 500), (verify.check_end_to_end_unit_gain, 50)]
+    )
+    def test_nan_deviation_fails_the_check(self, monkeypatch, check, call):
+        # one nan estimate, well after the first trial, must not be folded away
+        exact = verify.mrcmmse_bin
+        calls = []
+
+        def nan_once(a, z, sigma_w2):
+            est, inv = exact(a, z, sigma_w2)
+            calls.append(None)
+            return (est * np.nan if len(calls) == call else est), inv
+
+        monkeypatch.setattr(verify, "mrcmmse_bin", nan_once)
+        result = check(seed=2)
+        assert len(calls) > call
+        assert result.passed is False
+        assert " nan " in result.detail
+
     def test_precode_check_passes(self, capsys):
         rc = main(["precode-check", "--seed", "2"])
         out = capsys.readouterr().out

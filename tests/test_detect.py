@@ -7,8 +7,6 @@ from fdmud.detect import (
     DetectorKind,
     InverseCache,
     detect_frame,
-    highsnr_bin,
-    lowsnr_bin,
     mmse_bin,
     mrc_bin,
     mrcmmse_bin,
@@ -16,7 +14,7 @@ from fdmud.detect import (
 from fdmud.frame import FrameConfig, ReceivedFrame, generate_symbols, to_frequency_domain, transmit
 from fdmud.numerics import DegenerateScaleError, SingularMatrixError
 
-from conftest import crandn
+from conftest import crandn, detect_bin
 
 
 def normal_equations_oracle(a, y, sigma_w2):
@@ -83,7 +81,7 @@ class TestMmseBin:
             assert mmse_bin(a, a @ probe, 0.7)[col] == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_sigma_rejected(self, rng):
-        with pytest.raises(ValueError, match="highsnr"):
+        with pytest.raises(ValueError, match="HIGH_SNR_ZF"):
             mmse_bin(crandn(rng, 4, 2), crandn(rng, 4), 0.0)
 
     def test_wide_matrix_rejected(self, rng):
@@ -139,7 +137,7 @@ class TestMrcMmseBin:
         a = crandn(rng, 6, 3)
         y = crandn(rng, 6)
         est, _ = mrcmmse_bin(a, mrc_bin(a, y), 1e6)
-        ref = lowsnr_bin(a, y)
+        ref = detect_bin(a, y, DetectorKind.LOW_SNR)
         assert np.abs(est - ref).max() <= 1e-4 * np.abs(ref).max()
 
     def test_returns_kxk_inverse(self, rng):
@@ -152,44 +150,50 @@ class TestMrcMmseBin:
 
     def test_zero_sigma_rejected(self, rng):
         a = crandn(rng, 4, 2)
-        with pytest.raises(ValueError, match="highsnr"):
+        with pytest.raises(ValueError, match="HIGH_SNR_ZF"):
             mrcmmse_bin(a, mrc_bin(a, crandn(rng, 4)), 0.0)
 
 
 class TestLowSnrBin:
+    """``LOW_SNR`` (the TR-MRC kernel) on one bin."""
+
     def test_orthogonal_columns_exact(self):
         a = np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]], dtype=complex)
         s = np.array([1.0 + 1j, 2.0 - 1j])
-        assert np.abs(lowsnr_bin(a, a @ s) - s).max() <= 1e-14
+        assert np.abs(detect_bin(a, a @ s, DetectorKind.LOW_SNR) - s).max() <= 1e-14
 
     def test_scalar(self):
-        assert lowsnr_bin(np.array([[2.0]]), np.array([4.0]))[0] == pytest.approx(2.0)
+        est = detect_bin(np.array([[2.0]]), np.array([4.0]), DetectorKind.LOW_SNR)
+        assert est[0] == pytest.approx(2.0)
 
     def test_zero_column_rejected(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DegenerateScaleError):
-            lowsnr_bin(a, np.array([1.0, 1.0]))
+            detect_bin(a, np.array([1.0, 1.0]), DetectorKind.LOW_SNR)
 
 
 class TestHighSnrBin:
+    """``HIGH_SNR_ZF`` on one bin."""
+
     def test_noise_free_recovery(self, rng):
         a = crandn(rng, 5, 3)
         s = crandn(rng, 3)
-        assert np.abs(highsnr_bin(a, a @ s) - s).max() <= 1e-10
+        assert np.abs(detect_bin(a, a @ s, DetectorKind.HIGH_SNR_ZF) - s).max() <= 1e-10
 
     def test_scalar(self):
-        assert highsnr_bin(np.array([[2.0]]), np.array([4.0]))[0] == pytest.approx(2.0)
+        est = detect_bin(np.array([[2.0]]), np.array([4.0]), DetectorKind.HIGH_SNR_ZF)
+        assert est[0] == pytest.approx(2.0)
 
     def test_mmse_limit(self, rng):
         a = crandn(rng, 5, 2)
         y = crandn(rng, 5)
-        ref = highsnr_bin(a, y)
+        ref = detect_bin(a, y, DetectorKind.HIGH_SNR_ZF)
         assert np.abs(mmse_bin(a, y, 1e-10) - ref).max() <= 1e-5 * np.abs(ref).max()
 
     def test_rank_deficient_rejected(self):
         a = np.ones((4, 2), dtype=complex)  # identical columns
         with pytest.raises(SingularMatrixError):
-            highsnr_bin(a, np.ones(4, dtype=complex))
+            detect_bin(a, np.ones(4, dtype=complex), DetectorKind.HIGH_SNR_ZF)
 
 
 class TestDetectFrame:
@@ -254,8 +258,8 @@ class TestDetectFrame:
         _, bins, fc, _, rf = small_scenario(seed=5)
         tr = detect_frame(rf, bins, fc.sigma_w2, DetectorKind.TR_MRC)
         low = detect_frame(rf, bins, fc.sigma_w2, DetectorKind.LOW_SNR)
-        # with per-bin diagonal unbiasing the two coincide by construction
-        assert np.abs(tr.s_hat_time - low.s_hat_time).max() <= 1e-12
+        # one kernel serves both kinds
+        assert np.array_equal(tr.s_hat_time, low.s_hat_time)
 
     def test_mrcmmse_populates_cache(self):
         _, bins, fc, _, rf = small_scenario(seed=9)

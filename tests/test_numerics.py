@@ -153,24 +153,24 @@ class TestInvertHpdStack:
     def test_singular_slice_named(self, rng, bad):
         stack = hpd_stack(rng, 6)
         stack[bad] = np.diag([1.0, 1.0, 0.0, 1.0, 1.0])
-        with pytest.raises(SingularMatrixError, match=f"slice {bad}") as info:
+        with pytest.raises(SingularMatrixError, match=f"bin {bad}") as info:
             invert_hpd(stack)
         assert info.value.index == bad
 
     def test_first_of_several_singular_slices_named(self, rng):
         stack = hpd_stack(rng, 6)
         stack[[2, 4]] = -np.eye(5)
-        with pytest.raises(SingularMatrixError, match="slice 2"):
+        with pytest.raises(SingularMatrixError, match="bin 2"):
             invert_hpd(stack)
 
     def test_non_hermitian_slice_rejected_at_its_own_scale(self, rng):
-        # slice 2 is tiny: its asymmetry would pass a tolerance scaled by
+        # bin 2 is tiny: its asymmetry would pass a tolerance scaled by
         # the stack's largest entry, but not one scaled by its own
         stack = hpd_stack(rng, 4)
         stack[0] *= 1e6
         stack[2] = np.eye(5)
         stack[2, 0, 1] += 1e-8
-        with pytest.raises(ValueError, match="slice 2"):
+        with pytest.raises(ValueError, match="bin 2"):
             invert_hpd(stack)
 
     def test_non_finite_slice_rejected(self, rng):

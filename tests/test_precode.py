@@ -6,7 +6,7 @@ from fdmud.channel import BinChannel, ChannelConfig, draw_channel, to_bin_channe
 from fdmud.detect import DetectorKind, InverseCache, detect_frame
 from fdmud.frame import FrameConfig, SymbolFrame, generate_symbols, to_frequency_domain, transmit
 from fdmud.numerics import DegenerateScaleError, SingularMatrixError, invert_hpd
-from fdmud.precode import PowerAllocation, mmse_precode_bin, precode_frame
+from fdmud.precode import PowerAllocation, precode_frame
 
 from conftest import crandn
 
@@ -16,6 +16,15 @@ def ul_cache(a_stack, sigma_w2):
     n, _, k = a_stack.shape
     inv = np.stack([invert_hpd(a_stack[i].conj().T @ a_stack[i] + sigma_w2 * np.eye(k)) for i in range(n)])
     return InverseCache(inv=inv, sigma_w2=sigma_w2)
+
+
+def precode_bin(a_n, s_n, sigma_w2, power=None):
+    """One bin through ``precode_frame`` as the N = 1 frame: its M transmit samples.
+
+    A length-1 unitary DFT is the identity, so the symbols are the bin's own.
+    """
+    sf = SymbolFrame(symbols=np.asarray(s_n)[:, np.newaxis])
+    return precode_frame(sf, BinChannel(a=np.asarray(a_n)[np.newaxis]), sigma_w2, power).x[:, 0]
 
 
 def precode_oracle(a_n, s_n, sigma_w2, p_sqrt):
@@ -28,10 +37,11 @@ def precode_oracle(a_n, s_n, sigma_w2, p_sqrt):
 
 
 class TestMmsePrecodeBin:
+    """``precode_frame`` on one bin, the N = 1 frame."""
+
     def test_scalar_identity(self):
         a = np.array([[1.0 + 0j]])
-        dl_inv = invert_hpd(a.T @ a.conj() + 0.0 * np.eye(1))
-        x = mmse_precode_bin(a, np.array([1.0 + 0j]), 0.0, PowerAllocation.uniform(1), dl_inv)
+        x = precode_bin(a, np.array([1.0 + 0j]), 0.0)
         assert x[0] == pytest.approx(1.0)
         assert (a.T @ x)[0] == pytest.approx(1.0)
 
@@ -39,8 +49,7 @@ class TestMmsePrecodeBin:
         sigma_w2 = 1e-10
         a = crandn(rng, 4, 2)
         s = crandn(rng, 2)
-        dl_inv = invert_hpd(a.T @ a.conj() + sigma_w2 * np.eye(2))
-        x = mmse_precode_bin(a, s, sigma_w2, PowerAllocation.uniform(2), dl_inv)
+        x = precode_bin(a, s, sigma_w2)
         assert np.abs(a.T @ x - s).max() <= 1e-5
 
     def test_power_allocation_scales_received_amplitudes(self, rng):
@@ -48,8 +57,7 @@ class TestMmsePrecodeBin:
         a = crandn(rng, 4, 2)
         s = crandn(rng, 2)
         power = PowerAllocation(p_sqrt=np.array([2.0, 1.0]))
-        dl_inv = invert_hpd(a.T @ a.conj() + sigma_w2 * np.eye(2))
-        x = mmse_precode_bin(a, s, sigma_w2, power, dl_inv)
+        x = precode_bin(a, s, sigma_w2, power)
         received = a.T @ x
         assert np.abs(received - np.array([2.0, 1.0]) * s).max() <= 1e-5
 
@@ -57,20 +65,18 @@ class TestMmsePrecodeBin:
         # the unbiasing convention: unit diagonal end-to-end gain at any noise level
         a = crandn(rng, 5, 3)
         sigma_w2 = 0.7
-        dl_inv = invert_hpd(a.T @ a.conj() + sigma_w2 * np.eye(3))
         for k in range(3):
             probe = np.zeros(3, dtype=complex)
             probe[k] = 1.0
-            x = mmse_precode_bin(a, probe, sigma_w2, PowerAllocation.uniform(3), dl_inv)
+            x = precode_bin(a, probe, sigma_w2)
             assert (a.T @ x)[k] == pytest.approx(1.0, abs=1e-10)
 
     def test_shape_validation(self, rng):
         a = crandn(rng, 4, 2)
-        dl_inv = np.eye(2)
         with pytest.raises(ValueError):
-            mmse_precode_bin(a, crandn(rng, 3), 0.1, PowerAllocation.uniform(2), dl_inv)
+            precode_bin(a, crandn(rng, 3), 0.1)
         with pytest.raises(ValueError):
-            mmse_precode_bin(a, crandn(rng, 2), 0.1, PowerAllocation.uniform(3), dl_inv)
+            precode_bin(a, crandn(rng, 2), 0.1, PowerAllocation.uniform(3))
 
 
 class TestPowerAllocation:
@@ -186,6 +192,13 @@ class TestPrecodeFrame:
         sf = SymbolFrame(symbols=crandn(rng, 2, 8))
         with pytest.raises(DegenerateScaleError, match="bin 3"):
             precode_frame(sf, BinChannel(a=a), 0.1)
+
+    @pytest.mark.parametrize("sigma_w2", [-0.05, np.inf, np.nan])
+    def test_negative_or_non_finite_sigma_rejected(self, sigma_w2):
+        _, bins, _ = self.scenario()
+        sf = SymbolFrame(symbols=np.ones((3, 32), dtype=complex))
+        with pytest.raises(ValueError, match="sigma_w2 must be finite and non-negative"):
+            precode_frame(sf, bins, sigma_w2)
 
     def test_cache_noise_mismatch_rejected(self):
         ch, bins, fc = self.scenario(seed=9)
