@@ -7,8 +7,10 @@ rescaled multiplicatively so the average over antennas is exactly one.  Tap
 vectors are scaled to carry exactly their assigned power, which makes both
 normalization invariants hold to rounding rather than only in expectation.
 
-Generation is keyed per (seed, antenna, user), so draws are order-independent
-and identical configs reproduce bit-identical realizations.
+One generator, seeded with the config's seed, makes each draw: first every
+tap of every antenna/user pair, then every pair's power.  Identical configs
+reproduce bit-identical realizations; the Monte-Carlo runner keeps frames
+order-independent by deriving each frame's seed from (seed, point, frame).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class ChannelConfig:
     power_spread : tuple of float
         (low, high) bounds of the uniform per-antenna power draw, linear.
     seed : int
-        Non-negative 64-bit seed keying every per-pair stream.
+        Non-negative 64-bit seed of the draw's one generator.
     """
 
     num_antennas: int
@@ -112,22 +114,17 @@ def draw_channel(config: ChannelConfig) -> ChannelRealization:
     power over antennas exactly one.
     """
     m_ant, k_usr, length = config.num_antennas, config.num_users, config.channel_len
-    profile = np.exp(-np.arange(length) / config.decay_samples)
-    profile /= profile.sum()
-    root_profile = np.sqrt(profile / 2.0)
-    low, high = config.power_spread
+    rng = np.random.default_rng(config.seed)
+    # Real and imaginary parts interleaved in one buffer, viewed in place as
+    # complex taps; every scaling below writes into it.
+    taps = rng.standard_normal((m_ant, k_usr, length, 2)).view(np.complex128)[..., 0]
+    powers = rng.uniform(*config.power_spread, size=(m_ant, k_usr))
 
-    taps = np.empty((m_ant, k_usr, length), dtype=np.complex128)
-    powers = np.empty((m_ant, k_usr))
-    for m in range(m_ant):
-        for k in range(k_usr):
-            rng = np.random.default_rng([config.seed, m, k])
-            z = root_profile * (rng.standard_normal(length) + 1j * rng.standard_normal(length))
-            powers[m, k] = rng.uniform(low, high)
-            taps[m, k] = z * np.sqrt(powers[m, k]) / np.linalg.norm(z)
-
-    # Per-user multiplicative rescale: average antenna power becomes exactly 1.
-    taps *= np.sqrt(m_ant / powers.sum(axis=0))[np.newaxis, :, np.newaxis]
+    taps *= np.sqrt(np.exp(-np.arange(length) / config.decay_samples))
+    # Each vector carries exactly its drawn power, then the per-user
+    # multiplicative rescale makes the average antenna power exactly 1.
+    scale = np.sqrt(powers * (m_ant / powers.sum(axis=0))) / np.linalg.norm(taps, axis=2)
+    taps *= scale[:, :, np.newaxis]
     return ChannelRealization(taps=taps, config=config)
 
 

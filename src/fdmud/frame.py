@@ -1,11 +1,15 @@
 """Symbol generation, cyclic-prefix transmission and frequency-domain framing.
 
-The transmit path is a true transmitter emulation: the cyclic prefix is
-prepended, the frame is linearly convolved with each impulse response, user
-contributions are summed, white Gaussian noise is added, and the prefix is
-discarded.  That the result equals per-bin multiplication by the channel's
-eigenvalue matrices is a verified property, never an assumption baked into
-this module.
+Two functions make a received frame from the same symbols and noise draws.
+``transmit`` is a true transmitter emulation and assumes nothing about the
+channel: the cyclic prefix is prepended, the frame is linearly convolved with
+each impulse response, user contributions are summed, white Gaussian noise is
+added, and the prefix is discarded.  ``transmit_bins`` assumes the cyclic
+prefix makes every channel circulant, and builds each frequency bin directly
+as ``y_n = A_n s_n + w_n``; the Monte-Carlo sweep uses it.  The assumption is
+proved, not trusted: ``verify.check_cp_circularity`` compares the two paths,
+and the test suite checks that they agree to rounding and leave the generator
+in the same state.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .channel import ChannelRealization
+from .channel import BinChannel, ChannelRealization
 
 __all__ = [
     "FrameConfig",
@@ -24,6 +28,7 @@ __all__ = [
     "constellation_points",
     "generate_symbols",
     "transmit",
+    "transmit_bins",
     "to_frequency_domain",
     "bin_vector",
 ]
@@ -113,6 +118,32 @@ def generate_symbols(num_users: int, frame_len: int, constellation: str, rng) ->
     return SymbolFrame(symbols=points[idx])
 
 
+def _check_cp(channel_len: int, cp_len: int) -> None:
+    """Reject a cyclic prefix too short to absorb the channel memory."""
+    if channel_len > cp_len - 1:
+        raise ValueError(
+            "cyclic prefix too short: need channel_len <= cp_len - 1, "
+            f"got L={channel_len}, cp={cp_len}"
+        )
+
+
+def _awgn(num_antennas: int, frame_len: int, sigma_w2: float, rng) -> np.ndarray:
+    """Time-domain noise of both transmit paths: one draw order, one stream."""
+    sigma = np.sqrt(sigma_w2 / 2.0)
+    return sigma * (
+        rng.standard_normal((num_antennas, frame_len))
+        + 1j * rng.standard_normal((num_antennas, frame_len))
+    )
+
+
+def _check_frame(symbols: np.ndarray, num_users: int, fc: FrameConfig) -> None:
+    sent_users, frame_len = symbols.shape
+    if sent_users != num_users:
+        raise ValueError(f"user count mismatch: frame has {sent_users}, channel has {num_users}")
+    if frame_len != fc.frame_len:
+        raise ValueError(f"frame length mismatch: frame has {frame_len}, config has {fc.frame_len}")
+
+
 def transmit(
     sf: SymbolFrame, ch: ChannelRealization, fc: FrameConfig, rng
 ) -> ReceivedFrame:
@@ -127,16 +158,10 @@ def transmit(
     channel memory.
     """
     symbols = np.asarray(sf.symbols)
-    num_users, frame_len = symbols.shape
     m_ant, k_usr, length = ch.taps.shape
-    if k_usr != num_users:
-        raise ValueError(f"user count mismatch: frame has {num_users}, channel has {k_usr}")
-    if frame_len != fc.frame_len:
-        raise ValueError(f"frame length mismatch: frame has {frame_len}, config has {fc.frame_len}")
-    if length > fc.cp_len - 1:
-        raise ValueError(
-            f"cyclic prefix too short: need channel_len <= cp_len - 1, got L={length}, cp={fc.cp_len}"
-        )
+    _check_frame(symbols, k_usr, fc)
+    _check_cp(length, fc.cp_len)
+    frame_len = fc.frame_len
 
     with_cp = np.concatenate([symbols[:, frame_len - fc.cp_len :], symbols], axis=1)
     nfft = scipy.fft.next_fast_len(frame_len + fc.cp_len + length - 1)
@@ -144,12 +169,30 @@ def transmit(
     taps_fd = np.fft.fft(ch.taps, n=nfft, axis=2)
     mixed = np.fft.ifft((sig_fd[np.newaxis, :, :] * taps_fd).sum(axis=1), axis=1)
     received = mixed[:, fc.cp_len : fc.cp_len + frame_len]
+    return ReceivedFrame(samples=received + _awgn(m_ant, frame_len, fc.sigma_w2, rng), domain=TIME)
 
-    sigma = np.sqrt(fc.sigma_w2 / 2.0)
-    noise = sigma * (
-        rng.standard_normal((m_ant, frame_len)) + 1j * rng.standard_normal((m_ant, frame_len))
-    )
-    return ReceivedFrame(samples=received + noise, domain=TIME)
+
+def transmit_bins(sf: SymbolFrame, bins: BinChannel, fc: FrameConfig, rng) -> ReceivedFrame:
+    """The frequency-domain frame ``transmit`` would give, built per bin.
+
+    Bin n is ``A_n s_n + w_n``, with ``s`` and ``w`` the unitary DFTs of the
+    symbols and of the same noise ``transmit`` draws from ``rng``, so one
+    generator state gives ``to_frequency_domain(transmit(...))`` to rounding
+    and leaves the generator where ``transmit`` leaves it.  It assumes the
+    cyclic prefix covers the channel, which the bin channels cannot show:
+    the caller checks it (``ScenarioConfig`` does, before a sweep draws
+    anything).
+    """
+    symbols = np.asarray(sf.symbols)
+    n_bins, m_ant, k_usr = bins.a.shape
+    _check_frame(symbols, k_usr, fc)
+    if n_bins != fc.frame_len:
+        raise ValueError(f"bin count mismatch: channel has {n_bins}, config has {fc.frame_len}")
+
+    s_fd = np.fft.fft(symbols, axis=1, norm="ortho")
+    signal = np.matmul(bins.a, s_fd.T[:, :, np.newaxis])[..., 0].T  # (M, N)
+    noise = np.fft.fft(_awgn(m_ant, fc.frame_len, fc.sigma_w2, rng), axis=1, norm="ortho")
+    return ReceivedFrame(samples=signal + noise, domain=FREQUENCY)
 
 
 def to_frequency_domain(rf: ReceivedFrame) -> ReceivedFrame:

@@ -26,7 +26,10 @@ import numpy as np
 
 from .channel import ChannelConfig, draw_channel, to_bin_channels
 from .detect import DetectionResult, DetectorKind, detect_frame
-from .frame import FrameConfig, SymbolFrame, generate_symbols, to_frequency_domain, transmit
+from .frame import FrameConfig, SymbolFrame, _check_cp, generate_symbols, transmit_bins
+
+# Unused here, but benchmarks/workloads.py wraps both on this module.
+from .frame import to_frequency_domain, transmit  # noqa: F401
 from .numerics import DegenerateScaleError, SingularMatrixError
 
 __all__ = [
@@ -205,6 +208,8 @@ class ScenarioConfig:
                 f"channel frame_len {self.channel.frame_len} does not match "
                 f"frame frame_len {self.frame.frame_len}"
             )
+        # The sweep builds frames per bin, which assumes a prefix this long.
+        _check_cp(self.channel.channel_len, self.frame.cp_len)
         if self.frames_per_point < 1:
             raise ValueError("frames_per_point must be at least 1")
         if len(self.snr_sweep_db) == 0:
@@ -242,6 +247,12 @@ def build_scenario(values: dict) -> ScenarioConfig:
     )
 
 
+# Version of the way a sweep turns its seed into channels, symbols and noise.
+# Same seed, same layout and same NumPy give byte-identical CSV; any change
+# to what a frame draws, or in which order, bumps it.
+RNG_LAYOUT = 2
+
+
 @dataclass(frozen=True)
 class SinrRow:
     input_snr_db: float
@@ -265,6 +276,7 @@ class SinrReport:
     def to_csv(self, path=None) -> str:
         buf = io.StringIO()
         buf.write(f"# seed={self.seed}\n")
+        buf.write(f"# rng_layout={RNG_LAYOUT}\n")
         buf.write(f"# frames_per_point={self.frames_per_point}\n")
         buf.write("# averaging=mean-linear-sinr-over-users-and-frames-then-db\n")
         writer = csv.writer(buf, lineterminator="\n")
@@ -309,9 +321,10 @@ def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
     """Sweep input SNR, measuring output SINR per detector.
 
     Per sweep point and frame: draw a fresh channel, generate symbols,
-    transmit with noise, and run each requested detector on the same received
-    frame.  All randomness is keyed by (seed, point index, frame index), so
-    identical configs produce byte-identical CSV output regardless of
+    build the received bins ``A_n s_n + w_n`` with ``transmit_bins``, and run
+    each requested detector on the same received frame.  All randomness is
+    keyed by (seed, point index, frame index), so identical configs produce
+    byte-identical CSV output under one ``RNG_LAYOUT``, regardless of
     execution order.  Frames on which a detector fails (a singular bin, or a
     zero-power channel column) are excluded from that detector's average and
     counted in its ``n_failures``; the sweep goes on.
@@ -336,7 +349,7 @@ def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
             sym_rng = np.random.default_rng([cfg.channel.seed, p_idx, f_idx, 1])
             noise_rng = np.random.default_rng([cfg.channel.seed, p_idx, f_idx, 2])
             sf = generate_symbols(k_usr, fc.frame_len, fc.constellation, sym_rng)
-            rf = to_frequency_domain(transmit(sf, realization, fc, noise_rng))
+            rf = transmit_bins(sf, bins, fc, noise_rng)
             for kind in cfg.detectors:
                 try:
                     result = detect_frame(rf, bins, sigma_w2, kind)

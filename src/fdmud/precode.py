@@ -114,7 +114,8 @@ def precode_frame(
     if cache is not None:
         if cache.inv.shape != (n_bins, k_usr, k_usr):
             raise ValueError(f"cache shape {cache.inv.shape} does not match {(n_bins, k_usr, k_usr)}")
-        if not np.isclose(cache.sigma_w2, sigma_w2):
+        # Relative only: an absolute floor would equate any two tiny variances.
+        if not np.isclose(cache.sigma_w2, sigma_w2, rtol=1e-12, atol=0.0):
             raise ValueError(
                 f"cache was built for sigma_w2={cache.sigma_w2}, precoder asked for {sigma_w2}"
             )

@@ -15,7 +15,14 @@ import numpy as np
 
 from .channel import BinChannel, ChannelConfig, draw_channel, to_bin_channels
 from .detect import DetectorKind, detect_frame, mmse_bin, mrc_bin, mrcmmse_bin
-from .frame import FrameConfig, SymbolFrame, generate_symbols, to_frequency_domain, transmit
+from .frame import (
+    FrameConfig,
+    SymbolFrame,
+    generate_symbols,
+    to_frequency_domain,
+    transmit,
+    transmit_bins,
+)
 from .harness import SCENARIO_TABLE, build_scenario
 from .numerics import diag_of_product, invert_hpd
 from .precode import precode_frame
@@ -182,7 +189,7 @@ def check_noise_gain_trace(seed: int = 4) -> CheckResult:
 
 
 def check_cp_circularity(seed: int = 5) -> CheckResult:
-    """The noise-free transmit path equals per-bin channel-matrix multiplication."""
+    """The noise-free transmit path equals the per-bin model ``transmit_bins``."""
     sizes = (8, 16, 64)
     worst = 0.0
     rng = np.random.default_rng(seed)
@@ -197,13 +204,11 @@ def check_cp_circularity(seed: int = 5) -> CheckResult:
             seed=seed,
         )
         realization = draw_channel(cfg)
-        bins = to_bin_channels(realization)
         fc = FrameConfig(frame_len=frame_len, cp_len=length + 1, snr_db=np.inf)
         sf = generate_symbols(2, frame_len, "qpsk", rng)
         rf = to_frequency_domain(transmit(sf, realization, fc, rng))
-        s_fd = np.fft.fft(sf.symbols, axis=1, norm="ortho")
-        predicted = np.matmul(bins.a, s_fd.T[:, :, np.newaxis])[..., 0].T
-        worst = np.maximum(worst, float(np.abs(rf.samples - predicted).max()))
+        model = transmit_bins(sf, to_bin_channels(realization), fc, rng)
+        worst = np.maximum(worst, float(np.abs(rf.samples - model.samples).max()))
     return _result("cp-circularity", worst, f"max |transmit - per-bin model| = {worst:.3e} at sizes {sizes}")
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,30 @@ class TestSimulate:
         rc = main(["simulate", *FAST_ARGS, "--snr-sweep", "0,nan"])
         assert rc == 2
         assert "error: SNR sweep point 1" in capsys.readouterr().err
+
+
+class TestDeterminism:
+    # The five-kind run CI makes.  Same seed, same rng_layout and the NumPy
+    # and SciPy that CI pins give these exact bytes; a change to how a frame
+    # consumes random numbers must bump harness.RNG_LAYOUT and this digest.
+    FIVE_KIND_ARGS = [
+        "--n", "256", "--l-h", "16", "--l-cp", "32", "--frames-per-point", "2",
+        "--snr-sweep=-10:10:10", "--detectors", "mmse,mrc_mmse,tr_mrc,low_snr,high_snr_zf",
+    ]
+    FIVE_KIND_MD5 = "e74c55007e51388db1dbfe24b06729dd"
+
+    def test_five_kind_csv_bytes_pinned(self, tmp_path, capsys):
+        out = tmp_path / "sinr.csv"
+        assert main(["simulate", *self.FIVE_KIND_ARGS, "--output", str(out)]) == 0
+        data = out.read_bytes()
+        assert b"# rng_layout=2\n" in data
+        assert hashlib.md5(data).hexdigest() == self.FIVE_KIND_MD5
+
+    def test_short_cyclic_prefix_fails_cleanly(self, capsys):
+        # the default 130-tap channel needs a prefix of at least 131
+        rc = main(["simulate", "--l-cp", "100"])
+        assert rc == 2
+        assert "error: cyclic prefix too short" in capsys.readouterr().err
 
 
 class TestComplexity:

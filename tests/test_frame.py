@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fdmud.channel import ChannelConfig, ChannelRealization, build_circulant, draw_channel, to_bin_channels
@@ -12,6 +14,7 @@ from fdmud.frame import (
     generate_symbols,
     to_frequency_domain,
     transmit,
+    transmit_bins,
 )
 
 from conftest import crandn
@@ -111,6 +114,63 @@ class TestTransmit:
         sf = generate_symbols(1, 16, "qpsk", rng)
         with pytest.raises(ValueError, match="user count"):
             transmit(sf, ch, FrameConfig(frame_len=16, cp_len=4), rng)
+
+
+@st.composite
+def cp_scenarios(draw):
+    """Random (M, K, N, L, cp) with L < cp <= N, a constellation and a seed."""
+    m_ant = draw(st.integers(2, 8))
+    k_usr = draw(st.integers(1, m_ant - 1))
+    frame_len = draw(st.integers(2, 96))
+    length = draw(st.integers(1, frame_len - 1))
+    cp_len = draw(st.integers(length + 1, frame_len))
+    channel = ChannelConfig(
+        num_antennas=m_ant,
+        num_users=k_usr,
+        frame_len=frame_len,
+        channel_len=length,
+        decay_samples=draw(st.floats(0.5, 20.0)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    fc = FrameConfig(
+        frame_len=frame_len,
+        cp_len=cp_len,
+        constellation=draw(st.sampled_from(["qpsk", "16qam"])),
+        snr_db=draw(st.floats(-20.0, 40.0)),
+    )
+    return channel, fc, draw(st.integers(0, 2**32))
+
+
+class TestTransmitBins:
+    @seed(20240601)
+    @settings(max_examples=60, deadline=None)
+    @given(cp_scenarios())
+    def test_equals_transmit_then_dft(self, scenario):
+        # same symbols, same noise draws: the two paths differ by rounding,
+        # and leave the generator in the same state
+        channel, fc, rng_seed = scenario
+        ch = draw_channel(channel)
+        sym_rng = np.random.default_rng(rng_seed)
+        sf = generate_symbols(channel.num_users, fc.frame_len, fc.constellation, sym_rng)
+        rng_time, rng_bins = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+        oracle = to_frequency_domain(transmit(sf, ch, fc, rng_time))
+        model = transmit_bins(sf, to_bin_channels(ch), fc, rng_bins)
+        assert model.domain == "frequency"
+        scale = max(np.abs(oracle.samples).max(), np.abs(model.samples).max())
+        assert np.abs(model.samples - oracle.samples).max() <= 1e-12 * scale
+        assert np.array_equal(rng_time.standard_normal(4), rng_bins.standard_normal(4))
+
+    def test_bin_count_mismatch_rejected(self, rng):
+        ch = identity_realization(3, 2, 16)
+        sf = generate_symbols(2, 8, "qpsk", rng)
+        with pytest.raises(ValueError, match="bin count"):
+            transmit_bins(sf, to_bin_channels(ch), FrameConfig(frame_len=8, cp_len=4), rng)
+
+    def test_user_count_mismatch_rejected(self, rng):
+        ch = identity_realization(3, 2, 16)
+        sf = generate_symbols(1, 16, "qpsk", rng)
+        with pytest.raises(ValueError, match="user count"):
+            transmit_bins(sf, to_bin_channels(ch), FrameConfig(frame_len=16, cp_len=4), rng)
 
 
 class TestToFrequencyDomain:

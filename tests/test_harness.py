@@ -302,6 +302,20 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError, match=r"channel frame_len 32 .* frame frame_len 8"):
             tiny_scenario(frame=short)
 
+    def test_short_cyclic_prefix_rejected_before_drawing(self, monkeypatch):
+        # the sweep builds frames per bin, which only a long enough prefix
+        # justifies; transmit_bins cannot see the channel length itself
+        def no_draw(config):
+            raise AssertionError("drew a channel for an invalid scenario")
+
+        monkeypatch.setattr(harness, "draw_channel", no_draw)
+        with pytest.raises(ValueError, match=r"cyclic prefix too short: .* L=3, cp=3"):
+            tiny_scenario(frame=FrameConfig(frame_len=32, cp_len=3))
+
+    def test_csv_header_names_the_rng_layout(self):
+        lines = run_monte_carlo(tiny_scenario()).to_csv().splitlines()
+        assert lines[1] == f"# rng_layout={harness.RNG_LAYOUT}"
+
     def test_field_defaults_are_the_table_defaults(self):
         table = build_scenario({key: row[0] for key, row in SCENARIO_TABLE.items()})
         bare = ScenarioConfig(channel=table.channel, frame=table.frame)

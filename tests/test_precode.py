@@ -209,6 +209,21 @@ class TestPrecodeFrame:
         with pytest.raises(ValueError, match="sigma_w2"):
             precode_frame(sf, bins, fc.sigma_w2 * 2, cache=cache)
 
+    def test_cache_at_a_tiny_neighbouring_sigma_rejected(self):
+        # 1e-9 and 1e-8 differ tenfold; an absolute floor of 1e-8 called
+        # them equal and let the cache feed a wrong precoder
+        ch, bins, _ = self.scenario(seed=9)
+        rng = np.random.default_rng(9)
+        sf = generate_symbols(3, 32, "qpsk", rng)
+        fc = FrameConfig(frame_len=32, cp_len=8, snr_db=90.0)  # sigma_w2 = 1e-9
+        rf = to_frequency_domain(transmit(sf, ch, fc, rng))
+        cache = detect_frame(rf, bins, fc.sigma_w2, DetectorKind.MRC_MMSE).cache
+        with pytest.raises(ValueError, match="sigma_w2"):
+            precode_frame(sf, bins, 1e-8, cache=cache)
+        same = precode_frame(sf, bins, fc.sigma_w2, cache=cache)
+        direct = precode_frame(sf, bins, fc.sigma_w2)
+        assert np.abs(same.x - direct.x).max() <= 1e-10 * np.abs(direct.x).max()
+
     def test_precoding_forms_agree(self, rng):
         # the K x K-inverse form equals the M x M-inverse form as matrices
         for _ in range(20):
