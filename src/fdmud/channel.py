@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _split
+
 __all__ = [
     "ChannelConfig",
     "ChannelRealization",
@@ -131,11 +133,20 @@ def draw_channel(config: ChannelConfig) -> ChannelRealization:
 def to_bin_channels(realization: ChannelRealization) -> BinChannel:
     """Transform a realization into its N per-bin coefficient matrices."""
     n = realization.config.frame_len
-    # Unnormalized DFT, unlike the unitary one used for signal and noise: the
-    # DFT of a zero-padded impulse response is exactly the eigenvalue set of
-    # its circulant channel matrix.
-    spectra = np.fft.fft(realization.taps, n=n, axis=2)
-    return BinChannel(a=np.ascontiguousarray(spectra.transpose(2, 0, 1)))
+    taps = realization.taps
+    m_ant, k_usr, _ = taps.shape
+    a = np.empty((n, m_ant, k_usr), dtype=np.complex128)
+
+    def run(lo: int, hi: int) -> None:
+        # Unnormalized DFT, unlike the unitary one used for signal and noise:
+        # the DFT of a zero-padded impulse response is exactly the eigenvalue
+        # set of its circulant channel matrix.
+        a[:, lo:hi] = np.fft.fft(taps[lo:hi], n=n, axis=2).transpose(2, 0, 1)
+
+    # Over antennas, each writing its own column of every bin; the FFT reads
+    # each tap row zero-padded to n.
+    _split(m_ant, run, a.size)
+    return BinChannel(a=a)
 
 
 def build_circulant(h, n: int) -> np.ndarray:

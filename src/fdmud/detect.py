@@ -36,6 +36,7 @@ from .frame import FREQUENCY, ReceivedFrame
 from .numerics import (
     DegenerateScaleError,
     SingularMatrixError,
+    _split,
     diag_of_product,
     invert_hpd,
     solve_hpd,
@@ -150,15 +151,19 @@ def _mmse(a: np.ndarray, y: np.ndarray, sigma_w2: float) -> np.ndarray:
     return _unbias(gain) * raw
 
 
-def _mrc_mmse(a, a_h, matched, sigma_w2: float) -> tuple[np.ndarray, InverseCache]:
-    """:func:`mrcmmse_bin` for every bin, from ``matched`` = ``A^H y``; also returns the cache."""
+def _mrc_mmse(a, a_h, matched, sigma_w2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`mrcmmse_bin` for every bin, from ``matched`` = ``A^H y``.
+
+    Returns the estimates, the regularized Gram inverses and the unbiasing
+    coefficients, the last two for an :class:`InverseCache`.
+    """
     _check_sigma(sigma_w2)
     gram = np.matmul(a_h, a)  # (N, K, K)
     inverses = invert_hpd(gram + sigma_w2 * np.eye(gram.shape[-1]))
     # diag(inv G) = diag(I - sigma_w2 inv) is real; the imaginary part is rounding.
     unbias = _unbias(diag_of_product(inverses, gram).real)
     est = unbias * np.matmul(inverses, matched[:, :, np.newaxis])[..., 0]
-    return est, InverseCache(inv=inverses, sigma_w2=float(sigma_w2), unbias=unbias)
+    return est, inverses, unbias
 
 
 def _low_snr(a, a_h, matched) -> np.ndarray:
@@ -235,8 +240,8 @@ def mrcmmse_bin(a_n, r_n, sigma_w2: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"r_n shape {r_n.shape} does not match a_n shape {a_n.shape}")
     a = a_n[np.newaxis]
     matched = (a_n.shape[0] * r_n)[np.newaxis]
-    est, cache = _mrc_mmse(a, a.conj().transpose(0, 2, 1), matched, sigma_w2)
-    return est[0], cache.inv[0]
+    est, inverses, _ = _mrc_mmse(a, a.conj().transpose(0, 2, 1), matched, sigma_w2)
+    return est[0], inverses[0]
 
 
 def detect_frame(
@@ -256,25 +261,41 @@ def detect_frame(
         raise ValueError("detect_frame requires a frequency-domain frame")
     a = np.asarray(bc.a)
     y = np.asarray(rf.samples)
-    n_bins, m_ant, _ = a.shape
+    n_bins, m_ant, k_usr = a.shape
     if y.shape != (m_ant, n_bins):
         raise ValueError(f"frame shape {y.shape} does not match bin channels {a.shape}")
     y = y.T  # (N, M)
 
-    cache = None
     if kind is DetectorKind.MMSE:
         est = _mmse(a, y, sigma_w2)
+        cache = None
     else:
-        a_h = a.conj().transpose(0, 2, 1)  # (N, K, M)
-        matched = _matched(a_h, y)
-        if kind is DetectorKind.MRC_MMSE:
-            est, cache = _mrc_mmse(a, a_h, matched, sigma_w2)
-        elif kind in (DetectorKind.TR_MRC, DetectorKind.LOW_SNR):
-            est = _low_snr(a, a_h, matched)
-        elif kind is DetectorKind.HIGH_SNR_ZF:
-            est = _zf(a, a_h, matched)
-        else:
+        if not isinstance(kind, DetectorKind):
             raise ValueError(f"unknown detector kind: {kind!r}")
+        est = np.empty((n_bins, k_usr), dtype=np.complex128)
+        if kind is DetectorKind.MRC_MMSE:
+            cache = InverseCache(
+                inv=np.empty((n_bins, k_usr, k_usr), dtype=np.complex128),
+                sigma_w2=float(sigma_w2),
+                unbias=np.empty((n_bins, k_usr)),
+            )
+        else:
+            cache = None
+
+        def run(lo: int, hi: int) -> None:
+            a_c = a[lo:hi]
+            a_h = a_c.conj().transpose(0, 2, 1)  # (n, K, M)
+            matched = _matched(a_h, y[lo:hi])
+            if cache is not None:
+                est[lo:hi], cache.inv[lo:hi], cache.unbias[lo:hi] = _mrc_mmse(
+                    a_c, a_h, matched, sigma_w2
+                )
+            elif kind is DetectorKind.HIGH_SNR_ZF:
+                est[lo:hi] = _zf(a_c, a_h, matched)
+            else:
+                est[lo:hi] = _low_snr(a_c, a_h, matched)
+
+        _split(n_bins, run, a.size + y.size)
 
     s_hat_time = np.fft.ifft(est.T, axis=1, norm="ortho")
     return DetectionResult(s_hat_time=s_hat_time, kind=kind, cache=cache)

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.fft
 
 from .channel import BinChannel, ChannelRealization
+from .numerics import _split
 
 __all__ = [
     "FrameConfig",
@@ -189,10 +190,22 @@ def transmit_bins(sf: SymbolFrame, bins: BinChannel, fc: FrameConfig, rng) -> Re
     if n_bins != fc.frame_len:
         raise ValueError(f"bin count mismatch: channel has {n_bins}, config has {fc.frame_len}")
 
-    s_fd = np.fft.fft(symbols, axis=1, norm="ortho")
-    signal = np.matmul(bins.a, s_fd.T[:, :, np.newaxis])[..., 0].T  # (M, N)
-    noise = np.fft.fft(_awgn(m_ant, fc.frame_len, fc.sigma_w2, rng), axis=1, norm="ortho")
-    return ReceivedFrame(samples=signal + noise, domain=FREQUENCY)
+    s_fd = np.fft.fft(symbols, axis=1, norm="ortho").T[:, :, np.newaxis]  # (N, K, 1)
+    signal = np.empty((n_bins, m_ant, 1), dtype=np.complex128)
+
+    def bins_run(lo: int, hi: int) -> None:
+        np.matmul(bins.a[lo:hi], s_fd[lo:hi], out=signal[lo:hi])
+
+    _split(n_bins, bins_run, bins.a.size + s_fd.size)
+    signal = signal[..., 0].T  # (M, N)
+    noise = _awgn(m_ant, fc.frame_len, fc.sigma_w2, rng)
+    samples = np.empty((m_ant, n_bins), dtype=np.complex128)
+
+    def antennas_run(lo: int, hi: int) -> None:
+        np.add(signal[lo:hi], np.fft.fft(noise[lo:hi], axis=1, norm="ortho"), out=samples[lo:hi])
+
+    _split(m_ant, antennas_run, signal.size + noise.size)
+    return ReceivedFrame(samples=samples, domain=FREQUENCY)
 
 
 def to_frequency_domain(rf: ReceivedFrame) -> ReceivedFrame:

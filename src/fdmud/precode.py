@@ -26,7 +26,7 @@ import numpy as np
 from .channel import BinChannel
 from .detect import InverseCache, _unbias
 from .frame import SymbolFrame
-from .numerics import diag_of_product, invert_hpd
+from .numerics import _split, diag_of_product, invert_hpd
 
 __all__ = [
     "PowerAllocation",
@@ -110,7 +110,6 @@ def precode_frame(
 
     s_fd = np.fft.fft(symbols, axis=1, norm="ortho").T  # (N, K)
 
-    dl_inv = beta = None
     if cache is not None:
         if cache.inv.shape != (n_bins, k_usr, k_usr):
             raise ValueError(f"cache shape {cache.inv.shape} does not match {(n_bins, k_usr, k_usr)}")
@@ -119,14 +118,21 @@ def precode_frame(
             raise ValueError(
                 f"cache was built for sigma_w2={cache.sigma_w2}, precoder asked for {sigma_w2}"
             )
-        dl_inv = np.conj(cache.inv)
-        beta = cache.unbias
-    if beta is None:
-        gram_dl = np.matmul(a.transpose(0, 2, 1), a.conj())  # (N, K, K): A^T A^*
-        if dl_inv is None:
-            dl_inv = invert_hpd(gram_dl + sigma_w2 * np.eye(k_usr))
-        beta = _unbias(diag_of_product(gram_dl, dl_inv).real)
-    v = np.matmul(dl_inv, (power.p_sqrt * beta * s_fd)[:, :, np.newaxis])  # (N, K, 1)
-    # A^* v as conj(A conj(v)): the same products, without a conjugated copy of A.
-    x = np.matmul(a, v.conj()).conj()[..., 0]
+    x = np.empty((n_bins, m_ant), dtype=np.complex128)
+    cached_beta = cache is not None and cache.unbias is not None
+    beta = cache.unbias if cached_beta else np.empty((n_bins, k_usr))
+
+    def run(lo: int, hi: int) -> None:
+        a_c = a[lo:hi]
+        dl_inv = None if cache is None else np.conj(cache.inv[lo:hi])
+        if not cached_beta:
+            gram_dl = np.matmul(a_c.transpose(0, 2, 1), a_c.conj())  # (n, K, K): A^T A^*
+            if dl_inv is None:
+                dl_inv = invert_hpd(gram_dl + sigma_w2 * np.eye(k_usr))
+            beta[lo:hi] = _unbias(diag_of_product(gram_dl, dl_inv).real)
+        v = np.matmul(dl_inv, (power.p_sqrt * beta[lo:hi] * s_fd[lo:hi])[:, :, np.newaxis])
+        # A^* v as conj(A conj(v)): the same products, without a conjugated copy of A.
+        x[lo:hi] = np.matmul(a_c, v.conj()).conj()[..., 0]
+
+    _split(n_bins, run, a.size + s_fd.size)
     return PrecodeResult(x=x.T, beta_used=beta.T)

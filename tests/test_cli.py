@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fdmud import cli, verify
+from fdmud import cli, numerics, verify
 from fdmud.cli import main, parse_config_file
 from fdmud.detect import DetectorKind
 from fdmud.harness import SCENARIO_TABLE, SinrReport, build_scenario, parse_detectors, parse_sweep
@@ -130,6 +130,12 @@ class TestDeterminism:
         data = out.read_bytes()
         assert b"# rng_layout=2\n" in data
         assert hashlib.md5(data).hexdigest() == self.FIVE_KIND_MD5
+
+    def test_five_kind_csv_bytes_pinned_on_one_bin_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(numerics, "_MIN_CHUNK", 1)
+        out = tmp_path / "sinr.csv"
+        assert main(["simulate", *self.FIVE_KIND_ARGS, "--output", str(out)]) == 0
+        assert hashlib.md5(out.read_bytes()).hexdigest() == self.FIVE_KIND_MD5
 
     def test_short_cyclic_prefix_fails_cleanly(self, capsys):
         # the default 130-tap channel needs a prefix of at least 131
