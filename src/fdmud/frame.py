@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .channel import BinChannel, ChannelRealization
 from .numerics import _split
@@ -128,6 +127,23 @@ def _check_cp(channel_len: int, cp_len: int) -> None:
         )
 
 
+def _next_fast_len(target: int) -> int:
+    """The smallest FFT length ``>= target >= 1`` with no prime factor above 11.
+
+    These are the lengths pocketfft transforms fastest, and the one
+    ``scipy.fft.next_fast_len`` returns for complex input.
+    """
+    n = target
+    while True:
+        rest = n
+        for prime in (2, 3, 5, 7, 11):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return n
+        n += 1
+
+
 def _awgn(num_antennas: int, frame_len: int, sigma_w2: float, rng) -> np.ndarray:
     """Time-domain noise of both transmit paths: one draw order, one stream."""
     sigma = np.sqrt(sigma_w2 / 2.0)
@@ -165,12 +181,19 @@ def transmit(
     frame_len = fc.frame_len
 
     with_cp = np.concatenate([symbols[:, frame_len - fc.cp_len :], symbols], axis=1)
-    nfft = scipy.fft.next_fast_len(frame_len + fc.cp_len + length - 1)
-    sig_fd = np.fft.fft(with_cp, n=nfft, axis=1)
-    taps_fd = np.fft.fft(ch.taps, n=nfft, axis=2)
-    mixed = np.fft.ifft((sig_fd[np.newaxis, :, :] * taps_fd).sum(axis=1), axis=1)
-    received = mixed[:, fc.cp_len : fc.cp_len + frame_len]
-    return ReceivedFrame(samples=received + _awgn(m_ant, frame_len, fc.sigma_w2, rng), domain=TIME)
+    nfft = _next_fast_len(frame_len + fc.cp_len + length - 1)
+    sig_fd = np.fft.fft(with_cp, n=nfft, axis=1)[np.newaxis, :, :]
+    noise = _awgn(m_ant, frame_len, fc.sigma_w2, rng)
+    samples = np.empty((m_ant, frame_len), dtype=np.complex128)
+
+    def antennas_run(lo: int, hi: int) -> None:
+        taps_fd = np.fft.fft(ch.taps[lo:hi], n=nfft, axis=2)
+        mixed = np.fft.ifft((sig_fd * taps_fd).sum(axis=1), axis=1)
+        np.add(mixed[:, fc.cp_len : fc.cp_len + frame_len], noise[lo:hi], out=samples[lo:hi])
+
+    # Sized by the (M, K, nfft) tap spectrum, which whole would be the largest array.
+    _split(m_ant, antennas_run, m_ant * k_usr * nfft)
+    return ReceivedFrame(samples=samples, domain=TIME)
 
 
 def transmit_bins(sf: SymbolFrame, bins: BinChannel, fc: FrameConfig, rng) -> ReceivedFrame:

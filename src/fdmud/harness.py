@@ -317,6 +317,28 @@ def _stream_seed(seed: int, point: int, frame: int, tag: int) -> int:
     return int(np.random.SeedSequence((seed, point, frame, tag)).generate_state(1, np.uint64)[0])
 
 
+def _run_frame(cfg: ScenarioConfig, fc: FrameConfig, p_idx: int, f_idx: int) -> dict:
+    """Per-user SINR of each detector on one frame, ``None`` where it failed.
+
+    A function of its own so that a frame's channel, bins and received
+    samples are freed before the next frame draws its own.
+    """
+    seed = cfg.channel.seed
+    realization = draw_channel(replace(cfg.channel, seed=_stream_seed(seed, p_idx, f_idx, 0)))
+    bins = to_bin_channels(realization)
+    sym_rng = np.random.default_rng([seed, p_idx, f_idx, 1])
+    noise_rng = np.random.default_rng([seed, p_idx, f_idx, 2])
+    sf = generate_symbols(cfg.channel.num_users, fc.frame_len, fc.constellation, sym_rng)
+    rf = transmit_bins(sf, bins, fc, noise_rng)
+    sinr = {}
+    for kind in cfg.detectors:
+        try:
+            sinr[kind] = measure_sinr(detect_frame(rf, bins, fc.sigma_w2, kind), sf)
+        except (SingularMatrixError, DegenerateScaleError):
+            sinr[kind] = None
+    return sinr
+
+
 def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
     """Sweep input SNR, measuring output SINR per detector.
 
@@ -329,35 +351,23 @@ def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
     zero-power channel column) are excluded from that detector's average and
     counted in its ``n_failures``; the sweep goes on.
     """
-    m_ant = cfg.channel.num_antennas
-    k_usr = cfg.channel.num_users
-    gain_low, gain_high = theoretical_gains(m_ant, k_usr)
+    gain_low, gain_high = theoretical_gains(cfg.channel.num_antennas, cfg.channel.num_users)
     gain_low_db = 10.0 * np.log10(gain_low)
     gain_high_db = 10.0 * np.log10(gain_high)
 
     rows = []
     for p_idx, snr_db in enumerate(cfg.snr_sweep_db):
         fc = replace(cfg.frame, snr_db=float(snr_db))
-        sigma_w2 = fc.sigma_w2
         sinr_acc = {kind: [] for kind in cfg.detectors}
         frames_ok = {kind: 0 for kind in cfg.detectors}
         failures = {kind: 0 for kind in cfg.detectors}
         for f_idx in range(cfg.frames_per_point):
-            ch_cfg = replace(cfg.channel, seed=_stream_seed(cfg.channel.seed, p_idx, f_idx, 0))
-            realization = draw_channel(ch_cfg)
-            bins = to_bin_channels(realization)
-            sym_rng = np.random.default_rng([cfg.channel.seed, p_idx, f_idx, 1])
-            noise_rng = np.random.default_rng([cfg.channel.seed, p_idx, f_idx, 2])
-            sf = generate_symbols(k_usr, fc.frame_len, fc.constellation, sym_rng)
-            rf = transmit_bins(sf, bins, fc, noise_rng)
-            for kind in cfg.detectors:
-                try:
-                    result = detect_frame(rf, bins, sigma_w2, kind)
-                except (SingularMatrixError, DegenerateScaleError):
+            for kind, sinr in _run_frame(cfg, fc, p_idx, f_idx).items():
+                if sinr is None:
                     failures[kind] += 1
-                    continue
-                sinr_acc[kind].append(measure_sinr(result, sf))
-                frames_ok[kind] += 1
+                else:
+                    sinr_acc[kind].append(sinr)
+                    frames_ok[kind] += 1
         for kind in cfg.detectors:
             per_user = np.concatenate(sinr_acc[kind]) if sinr_acc[kind] else np.array([])
             finite = per_user[np.isfinite(per_user)]

@@ -10,7 +10,14 @@ import pytest
 from fdmud import harness, numerics
 from fdmud.channel import BinChannel, ChannelConfig, draw_channel, to_bin_channels
 from fdmud.detect import DetectorKind, detect_frame
-from fdmud.frame import FrameConfig, ReceivedFrame, SymbolFrame, generate_symbols, transmit_bins
+from fdmud.frame import (
+    FrameConfig,
+    ReceivedFrame,
+    SymbolFrame,
+    generate_symbols,
+    transmit,
+    transmit_bins,
+)
 from fdmud.harness import ScenarioConfig, run_monte_carlo
 from fdmud.numerics import DegenerateScaleError, SingularMatrixError
 from fdmud.precode import precode_frame
@@ -36,12 +43,16 @@ def every_output():
     cfg = ChannelConfig(
         num_antennas=6, num_users=3, frame_len=N_BINS, channel_len=4, decay_samples=2.0, seed=21
     )
-    bins = to_bin_channels(draw_channel(cfg))
+    realization = draw_channel(cfg)
+    bins = to_bin_channels(realization)
     fc = FrameConfig(frame_len=N_BINS, cp_len=5, snr_db=3.0)
     rng = np.random.default_rng(22)
     sf = generate_symbols(3, N_BINS, "qpsk", rng)
     rf = transmit_bins(sf, bins, fc, rng)
     out = {"bins": bins.a, "received": rf.samples, "next_draw": rng.standard_normal(4)}
+    rng = np.random.default_rng(23)
+    out["transmit"] = transmit(sf, realization, fc, rng).samples
+    out["transmit.next_draw"] = rng.standard_normal(4)
     results = {kind: detect_frame(rf, bins, fc.sigma_w2, kind) for kind in DetectorKind}
     out.update({kind.value: result.s_hat_time for kind, result in results.items()})
     cache = results[DetectorKind.MRC_MMSE].cache
@@ -55,7 +66,8 @@ def every_output():
 
 
 # Detection at N_BINS reads 768 entries: a minimum of 256 makes three chunks
-# (10, 11 and 11 bins) and a minimum of 1 one chunk per bin.
+# (10, 11 and 11 bins) and a minimum of 1 one chunk per bin.  ``transmit``'s
+# tap spectrum has 720 entries: two chunks of antennas, then one per antenna.
 @pytest.mark.parametrize("min_chunk", [256, 1])
 def test_outputs_do_not_depend_on_chunks(split, min_chunk):
     split(WHOLE)

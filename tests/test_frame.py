@@ -9,6 +9,7 @@ from fdmud.frame import (
     FrameConfig,
     ReceivedFrame,
     SymbolFrame,
+    _next_fast_len,
     bin_vector,
     constellation_points,
     generate_symbols,
@@ -114,6 +115,19 @@ class TestTransmit:
         sf = generate_symbols(1, 16, "qpsk", rng)
         with pytest.raises(ValueError, match="user count"):
             transmit(sf, ch, FrameConfig(frame_len=16, cp_len=4), rng)
+
+
+class TestNextFastLen:
+    def test_matches_scipy_for_complex_input(self):
+        from scipy.fft import next_fast_len
+
+        for target in range(1, 20_001):
+            assert _next_fast_len(target) == next_fast_len(target), target
+
+    @pytest.mark.parametrize("frame_len, expected", [(2048, 2352), (512, 792), (256, 539)])
+    def test_benchmark_shapes(self, frame_len, expected):
+        # frame, 144-sample prefix and 130-tap channel, as transmit pads them
+        assert _next_fast_len(frame_len + 144 + 130 - 1) == expected
 
 
 @st.composite

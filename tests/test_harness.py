@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fdmud import harness
+from fdmud import harness, numerics
 from fdmud.channel import BinChannel, ChannelConfig
 from fdmud.detect import DetectionResult, DetectorKind
 from fdmud.frame import FrameConfig, SymbolFrame
@@ -211,6 +213,31 @@ class TestRunMonteCarlo:
             assert row.gain_db == pytest.approx(row.mean_output_sinr_db - row.input_snr_db)
             assert row.gain_low_db == pytest.approx(10 * np.log10(4))
             assert row.gain_high_db == pytest.approx(10 * np.log10(2))
+
+    def test_holds_one_frame_at_a_time(self, monkeypatch):
+        # Small chunks keep each stage's temporaries below a frame's arrays,
+        # so a frame still held while the next is built would raise the peak.
+        monkeypatch.setattr(numerics, "_MIN_CHUNK", 1024)
+        channel = ChannelConfig(
+            num_antennas=16, num_users=4, frame_len=256, channel_len=8, decay_samples=3.0, seed=3
+        )
+
+        def peak_bytes(frames):
+            cfg = tiny_scenario(
+                channel=channel,
+                frame=FrameConfig(frame_len=256, cp_len=9),
+                snr_sweep_db=(0.0,),
+                frames_per_point=frames,
+            )
+            tracemalloc.start()
+            try:
+                run_monte_carlo(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(1)  # one-time allocations out of the way
+        assert peak_bytes(3) <= 1.03 * peak_bytes(1)
 
     def test_deterministic_csv(self, tmp_path):
         out_a = tmp_path / "a.csv"
