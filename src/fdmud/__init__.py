@@ -4,10 +4,7 @@ from .channel import (
     BinChannel,
     ChannelConfig,
     ChannelRealization,
-    build_circulant,
     draw_channel,
-    dump_taps,
-    load_taps,
     to_bin_channels,
 )
 from .detect import (
@@ -34,7 +31,6 @@ from .harness import (
     ScenarioConfig,
     SinrReport,
     SinrRow,
-    capacity,
     complexity_sweep,
     count_mults_mmse,
     count_mults_mrcmmse,
@@ -66,8 +62,6 @@ __all__ = [
     "SinrRow",
     "SymbolFrame",
     "bin_vector",
-    "build_circulant",
-    "capacity",
     "complexity_sweep",
     "constellation_points",
     "count_mults_mmse",
@@ -75,10 +69,8 @@ __all__ = [
     "detect_frame",
     "diag_of_product",
     "draw_channel",
-    "dump_taps",
     "generate_symbols",
     "invert_hpd",
-    "load_taps",
     "measure_sinr",
     "mmse_bin",
     "mrc_bin",

@@ -27,9 +27,6 @@ __all__ = [
     "BinChannel",
     "draw_channel",
     "to_bin_channels",
-    "build_circulant",
-    "dump_taps",
-    "load_taps",
 ]
 
 
@@ -147,78 +144,3 @@ def to_bin_channels(realization: ChannelRealization) -> BinChannel:
     # each tap row zero-padded to n.
     _split(m_ant, run, a.size)
     return BinChannel(a=a)
-
-
-def build_circulant(h, n: int) -> np.ndarray:
-    """Dense circulant matrix whose first column is ``h`` zero-padded to n.
-
-    Column j is the zero-padded ``h`` cyclically shifted down j positions, so
-    multiplying by the result performs circular convolution with ``h``.
-    """
-    h = np.asarray(h)
-    if h.ndim != 1:
-        raise ValueError("h must be 1-D")
-    if h.size > n:
-        raise ValueError(f"impulse response longer than matrix size: {h.size} > {n}")
-    col = np.zeros(n, dtype=np.result_type(h.dtype, np.complex128))
-    col[: h.size] = h
-    shifts = (np.arange(n)[:, np.newaxis] - np.arange(n)[np.newaxis, :]) % n
-    return col[shifts]
-
-
-def dump_taps(realization: ChannelRealization, path) -> None:
-    """Write taps as a binary table of (m, k, l, re, im) rows.
-
-    Each row is five little-endian 64-bit floats; antenna, user and lag
-    indices are stored as exact small integers in float form.  Intended for
-    reproducibility audits, not as a primary storage format.
-    """
-    m_ant, k_usr, length = realization.taps.shape
-    m_idx, k_idx, l_idx = np.meshgrid(
-        np.arange(m_ant), np.arange(k_usr), np.arange(length), indexing="ij"
-    )
-    table = np.column_stack(
-        [
-            m_idx.ravel().astype(np.float64),
-            k_idx.ravel().astype(np.float64),
-            l_idx.ravel().astype(np.float64),
-            realization.taps.real.ravel(),
-            realization.taps.imag.ravel(),
-        ]
-    )
-    table.astype("<f8").tofile(path)
-
-
-def load_taps(path) -> np.ndarray:
-    """Read a tap table written by :func:`dump_taps` back into (M, K, L) form.
-
-    Every (m, k, l) index must be a finite non-negative integer, and the rows
-    must cover the index grid exactly once; a dump that breaks this is
-    rejected rather than loaded with taps silently overwritten or zeroed.
-    """
-    raw = np.fromfile(path, dtype="<f8")
-    if raw.size == 0 or raw.size % 5 != 0:
-        raise ValueError("malformed tap dump: row count not a multiple of 5 floats")
-    table = raw.reshape(-1, 5)
-    rows = table.shape[0]
-    index = table[:, :3]
-    if not np.all(np.isfinite(index)):
-        raise ValueError("malformed tap dump: non-finite index")
-    if np.any(index != np.floor(index)):
-        raise ValueError("malformed tap dump: fractional index")
-    if np.any(index < 0):
-        raise ValueError("malformed tap dump: negative index")
-    # Checked before the integer cast, which a huge value would overflow; no
-    # dimension of a complete grid can exceed the row count anyway.
-    if np.any(index >= rows):
-        raise ValueError("malformed tap dump: index out of range for the row count")
-    m_i, k_i, l_i = index.astype(np.int64).T
-    m_ant, k_usr, length = int(m_i.max()) + 1, int(k_i.max()) + 1, int(l_i.max()) + 1
-    if rows != m_ant * k_usr * length:
-        raise ValueError("malformed tap dump: incomplete index grid")
-    flat = np.ravel_multi_index((m_i, k_i, l_i), (m_ant, k_usr, length))
-    if np.unique(flat).size != rows:
-        raise ValueError("malformed tap dump: duplicate index")
-    taps = np.zeros((m_ant, k_usr, length), dtype=np.complex128)
-    taps[m_i, k_i, l_i] = table[:, 3] + 1j * table[:, 4]
-    return taps

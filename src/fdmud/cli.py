@@ -24,7 +24,6 @@ import sys
 
 from .harness import (
     SCENARIO_TABLE,
-    ScenarioConfig,
     build_scenario,
     complexity_sweep,
     run_monte_carlo,
@@ -50,7 +49,7 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _resolve_scenario(args: argparse.Namespace) -> ScenarioConfig:
+def _resolve_values(args: argparse.Namespace) -> dict:
     values = {key: row[0] for key, row in SCENARIO_TABLE.items()}
     if args.config:
         values.update(parse_config_file(args.config))
@@ -58,7 +57,13 @@ def _resolve_scenario(args: argparse.Namespace) -> ScenarioConfig:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
-    return build_scenario(values)
+    return values
+
+
+def _write_csv(path: str, text: str) -> None:
+    """The one place the package writes a file."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _print_checks(checks) -> int:
@@ -73,8 +78,9 @@ def _print_checks(checks) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _resolve_scenario(args)
-    report = run_monte_carlo(scenario)
+    values = _resolve_values(args)
+    report = run_monte_carlo(build_scenario(values))
+    _write_csv(values["output"], report.to_csv())
     print(f"{'snr_db':>8} {'detector':>12} {'out_sinr_db':>12} {'gain_db':>9} "
           f"{'low_db':>8} {'high_db':>8} {'frames':>7} {'failed':>7}")
     for row in report.rows:
@@ -83,16 +89,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"{row.gain_db:9.3f} {row.gain_low_db:8.3f} {row.gain_high_db:8.3f} {row.n_frames:7d} "
             f"{row.n_failures:7d}"
         )
-    if scenario.output:
-        print(f"wrote {scenario.output}")
+    print(f"wrote {values['output']}")
     return 0
 
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
     m_list = [int(v) for v in args.m_list.split(",")]
     report = complexity_sweep(m_list, args.k_max)
-    text = report.to_csv(args.output)
-    if args.output:
+    text = report.to_csv()
+    if args.output is not None:
+        _write_csv(args.output, text)
         print(f"wrote {args.output} ({len(report.rows)} rows)")
     else:
         print(text, end="")

@@ -42,7 +42,6 @@ __all__ = [
     "complexity_sweep",
     "measure_sinr",
     "theoretical_gains",
-    "capacity",
     "run_monte_carlo",
 ]
 
@@ -69,16 +68,12 @@ class ComplexityReport:
 
     rows: tuple[tuple[int, int, int, int], ...]
 
-    def to_csv(self, path=None) -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["M", "K", "mults_mmse", "mults_mrcmmse"])
         writer.writerows(self.rows)
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        return text
+        return buf.getvalue()
 
 
 def complexity_sweep(m_list, k_max: int) -> ComplexityReport:
@@ -122,24 +117,9 @@ def theoretical_gains(num_antennas: int, num_users: int) -> tuple[float, float]:
     return float(num_antennas), float(num_antennas - num_users)
 
 
-def capacity(rho: float, bandwidth_hz: float, gamma: float) -> float:
-    """Achievable rate ``rho * W * log2(1 + gamma)`` in bits/s.
-
-    ``rho`` is the non-prefix duty cycle, ``gamma`` the effective SNR
-    (linear).
-    """
-    if not 0 < rho <= 1:
-        raise ValueError("rho must lie in (0, 1]")
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth_hz must be positive")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    return rho * bandwidth_hz * float(np.log2(1.0 + gamma))
-
-
-# The scenario that ``fdmud simulate`` runs, one row per key:
-# (default, type, help).  Config-file keys, their casts and the command-line
-# flags (``--l-h`` for ``l_h``) are all derived from this table.
+# The scenario that ``fdmud simulate`` runs, and the file it writes, one row
+# per key: (default, type, help).  Config-file keys, their casts and the
+# command-line flags (``--l-h`` for ``l_h``) are all derived from this table.
 SCENARIO_TABLE = {
     "m": (64, int, "base-station antenna count"),
     "k": (14, int, "user count"),
@@ -169,6 +149,9 @@ def parse_sweep(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"sweep range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        for name, value in (("start", start), ("stop", stop), ("step", step)):
+            if not np.isfinite(value):
+                raise ValueError(f"sweep {name} must be finite, got {value}")
         if step <= 0:
             raise ValueError("sweep step must be positive")
         count = int(round((stop - start) / step)) + 1
@@ -200,7 +183,6 @@ class ScenarioConfig:
     detectors: tuple[DetectorKind, ...] = parse_detectors(SCENARIO_TABLE["detectors"][0])
     snr_sweep_db: tuple[float, ...] = parse_sweep(SCENARIO_TABLE["snr_sweep"][0])
     frames_per_point: int = SCENARIO_TABLE["frames_per_point"][0]
-    output: str | None = None
 
     def __post_init__(self):
         if self.channel.frame_len != self.frame.frame_len:
@@ -222,7 +204,10 @@ class ScenarioConfig:
 
 
 def build_scenario(values: dict) -> ScenarioConfig:
-    """The scenario for one value per ``SCENARIO_TABLE`` key."""
+    """The scenario for one value per ``SCENARIO_TABLE`` key.
+
+    ``output`` is not part of it: where the CSV goes is the CLI's business.
+    """
     channel = ChannelConfig(
         num_antennas=values["m"],
         num_users=values["k"],
@@ -243,7 +228,6 @@ def build_scenario(values: dict) -> ScenarioConfig:
         detectors=parse_detectors(values["detectors"]),
         snr_sweep_db=parse_sweep(values["snr_sweep"]),
         frames_per_point=values["frames_per_point"],
-        output=values["output"],
     )
 
 
@@ -273,7 +257,7 @@ class SinrReport:
     seed: int
     frames_per_point: int
 
-    def to_csv(self, path=None) -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(f"# seed={self.seed}\n")
         buf.write(f"# rng_layout={RNG_LAYOUT}\n")
@@ -305,11 +289,7 @@ class SinrReport:
                     r.n_failures,
                 ]
             )
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        return text
+        return buf.getvalue()
 
 
 def _stream_seed(seed: int, point: int, frame: int, tag: int) -> int:
@@ -391,9 +371,4 @@ def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
                 )
             )
 
-    report = SinrReport(
-        rows=tuple(rows), seed=cfg.channel.seed, frames_per_point=cfg.frames_per_point
-    )
-    if cfg.output is not None:
-        report.to_csv(cfg.output)
-    return report
+    return SinrReport(rows=tuple(rows), seed=cfg.channel.seed, frames_per_point=cfg.frames_per_point)

@@ -64,12 +64,6 @@ class PrecodeResult:
     x: np.ndarray
     beta_used: np.ndarray
 
-    @property
-    def transmit_power(self) -> float:
-        """Total radiated power across antennas and bins (diagnostic; no
-        sum-power normalization is applied by the precoder)."""
-        return float(np.sum(np.abs(self.x) ** 2))
-
 
 def precode_frame(
     sf: SymbolFrame,

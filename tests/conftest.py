@@ -20,6 +20,24 @@ def dft_matrix(n, unitary=True):
     return mat / np.sqrt(n) if unitary else mat
 
 
+def build_circulant(h, n):
+    """Dense circulant matrix whose first column is ``h`` zero-padded to n.
+
+    Column j is the zero-padded ``h`` cyclically shifted down j positions, so
+    multiplying by the result performs circular convolution with ``h``: the
+    dense oracle for the per-bin (FFT) channel model.
+    """
+    h = np.asarray(h)
+    if h.ndim != 1:
+        raise ValueError("h must be 1-D")
+    if h.size > n:
+        raise ValueError(f"impulse response longer than matrix size: {h.size} > {n}")
+    col = np.zeros(n, dtype=np.result_type(h.dtype, np.complex128))
+    col[: h.size] = h
+    shifts = (np.arange(n)[:, np.newaxis] - np.arange(n)[np.newaxis, :]) % n
+    return col[shifts]
+
+
 def detect_bin(a_n, y_n, kind, sigma_w2=0.0):
     """One bin through ``detect_frame`` as the N = 1 frame: its K estimates.
 

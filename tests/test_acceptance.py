@@ -133,7 +133,7 @@ def test_criterion_3_block_oracle_equivalence():
     report(3, f"max |per-bin FD MMSE - dense block MMSE| = {worst:.3e} (tol 1e-8)")
 
 
-def test_criterion_4_complexity_counts(tmp_path):
+def test_criterion_4_complexity_counts():
     assert count_mults_mmse(64, 14) == 378638
     assert count_mults_mrcmmse(64, 14) == 29638
     # independently summed itemized operation lists
@@ -147,9 +147,7 @@ def test_criterion_4_complexity_counts(tmp_path):
         assert mmse == sum([k * m * m, m**3, k * m * m, k * m, k * m, k])
         assert mrcmmse == sum([k * k * m, k**3, k * k * m, k * m, k * m, k])
         assert mmse > mrcmmse
-    path = tmp_path / "complexity.csv"
-    sweep.to_csv(path)
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    lines = sweep.to_csv().strip().splitlines()
     assert lines[0] == "M,K,mults_mmse,mults_mrcmmse"
     assert len(lines) == 91
     report(4, "counts 378638/29638 exact; 90-row grid regenerated, K x K form cheaper everywhere")

@@ -6,14 +6,11 @@ from fdmud.channel import (
     BinChannel,
     ChannelConfig,
     ChannelRealization,
-    build_circulant,
     draw_channel,
-    dump_taps,
-    load_taps,
     to_bin_channels,
 )
 
-from conftest import crandn, dft_matrix
+from conftest import build_circulant, crandn, dft_matrix
 
 
 def small_config(**overrides):
@@ -226,45 +223,3 @@ class TestToBinChannels:
         td_energy = cfg.frame_len * (np.abs(realization.taps) ** 2).sum(axis=2)
         assert_allclose(fd_energy, td_energy, rtol=1e-10)
 
-
-class TestTapDump:
-    def test_round_trip_exact(self, tmp_path):
-        realization = draw_channel(small_config())
-        path = tmp_path / "taps.bin"
-        dump_taps(realization, path)
-        assert np.array_equal(load_taps(path), realization.taps)
-
-    def test_malformed_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        np.arange(7, dtype="<f8").tofile(path)
-        with pytest.raises(ValueError):
-            load_taps(path)
-
-    @staticmethod
-    def write_rows(path, rows):
-        np.array([[m, k, l, re, 0.0] for m, k, l, re in rows], dtype="<f8").tofile(path)
-
-    @pytest.mark.parametrize(
-        "rows, reason",
-        [
-            # duplicate (0,0,0) hides the missing tap 1 and overwrites tap 0
-            ([(0, 0, 0, 1.0), (0, 0, 0, 2.0), (0, 0, 2, 3.0)], "duplicate"),
-            # -1 would wrap onto tap 1, leaving tap 0 zero
-            ([(0, 0, 1, 1.0), (0, 0, -1, 2.0)], "negative"),
-            ([(0, 0, 0, 1.0), (0, 0, 0.5, 2.0)], "fractional"),
-            ([(0, 0, 0, 1.0), (0, 0, 1e300, 2.0)], "out of range"),
-            ([(0, 0, 0, 1.0), (0, 0, np.nan, 2.0)], "non-finite"),
-            ([(0, 0, 0, 1.0), (0, np.inf, 0, 2.0)], "non-finite"),
-        ],
-        ids=["duplicate", "negative", "fractional", "out-of-range", "nan", "inf"],
-    )
-    def test_bad_index_rejected(self, tmp_path, rows, reason):
-        path = tmp_path / "bad.bin"
-        self.write_rows(path, rows)
-        with pytest.raises(ValueError, match=reason):
-            load_taps(path)
-
-    def test_row_order_does_not_matter(self, tmp_path):
-        path = tmp_path / "shuffled.bin"
-        self.write_rows(path, [(0, 0, 2, 3.0), (0, 0, 0, 1.0), (0, 0, 1, 2.0)])
-        assert np.array_equal(load_taps(path), np.array([[[1.0, 2.0, 3.0]]]))

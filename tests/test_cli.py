@@ -2,11 +2,20 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from fdmud import cli, numerics, verify
 from fdmud.cli import main, parse_config_file
 from fdmud.detect import DetectorKind
-from fdmud.harness import SCENARIO_TABLE, SinrReport, build_scenario, parse_detectors, parse_sweep
+from fdmud.harness import (
+    SCENARIO_TABLE,
+    SinrReport,
+    build_scenario,
+    complexity_sweep,
+    parse_detectors,
+    parse_sweep,
+)
 
 
 FAST_ARGS = [
@@ -27,6 +36,28 @@ class TestParsing:
             parse_sweep("0:10:0")
         with pytest.raises(ValueError):
             parse_sweep("0:10")
+
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.floats(-100.0, 100.0),
+        span=st.floats(0.0, 50.0),
+        step=st.floats(0.01, 10.0),
+    )
+    def test_sweep_range_fractional_steps(self, start, span, step):
+        stop = start + span
+        points = parse_sweep(f"{start!r}:{stop!r}:{step!r}")
+        assert points[0] == start
+        assert all(abs((b - a) - step) <= 1e-9 for a, b in zip(points, points[1:]))
+        assert points[-1] <= stop + 1e-9
+        assert points[-1] + step > stop + 1e-9
+
+    @pytest.mark.parametrize(
+        "sweep, field", [("0:inf:1", "stop"), ("-inf:0:1", "start"), ("0:1:nan", "step")]
+    )
+    def test_non_finite_sweep_range_fails_cleanly(self, sweep, field, capsys):
+        assert main(["simulate", *FAST_ARGS, f"--snr-sweep={sweep}"]) == 2
+        assert f"error: sweep {field} must be finite" in capsys.readouterr().err
 
     def test_detectors(self):
         assert parse_detectors("mrc_mmse,tr_mrc") == (DetectorKind.MRC_MMSE, DetectorKind.TR_MRC)
@@ -49,6 +80,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("key", list(SCENARIO_TABLE))
     def test_every_table_key_is_a_config_key_and_a_flag(self, key, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # simulate writes its CSV to output
         default, cast, _ = SCENARIO_TABLE[key]
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(f"{key}={default}\n")
@@ -83,6 +115,30 @@ class TestSimulate:
         assert out.exists()
         lines = out.read_text(encoding="utf-8").splitlines()
         assert any(line.startswith("input_snr_db") for line in lines)
+
+    def test_output_file_is_the_report_csv(self, tmp_path, monkeypatch):
+        original, reports = cli.run_monte_carlo, []
+
+        def run_and_keep(scenario):
+            reports.append(original(scenario))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_monte_carlo", run_and_keep)
+        out = tmp_path / "sinr.csv"
+        assert main(["simulate", *FAST_ARGS, "--output", str(out)]) == 0
+        assert out.read_bytes() == reports[0].to_csv().encode("utf-8")
+
+    def test_readme_example_sweep(self, tmp_path, capsys):
+        # the README's comma-list sweep; "--snr-sweep -30,..." would read as a flag
+        out = tmp_path / "sinr.csv"
+        tiny = ["--m", "4", "--k", "2", "--n", "32", "--l-h", "3", "--l-cp", "4"]
+        argv = ["simulate", "--snr-sweep=-30,-7,10", "--frames-per-point", "2", "--output", str(out)]
+        assert main([*argv, *tiny]) == 0
+        lines = [l for l in out.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
+        rows = [l.split(",") for l in lines[1:]]
+        assert sorted((r[1], r[0]) for r in rows) == [
+            (kind, snr) for kind in ("mrc_mmse", "tr_mrc") for snr in ("-30", "-7", "10")
+        ]
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
@@ -158,6 +214,7 @@ class TestComplexity:
         assert rc == 0
         lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 91  # header + 3 x 30 grid
+        assert out.read_bytes() == complexity_sweep([32, 64, 128], 30).to_csv().encode("utf-8")
 
 
 class TestVerifySuites:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdmud.channel import ChannelConfig, build_circulant, draw_channel, to_bin_channels
+from fdmud.channel import ChannelConfig, draw_channel, to_bin_channels
 from fdmud.detect import (
     DetectorKind,
     InverseCache,
@@ -14,7 +14,7 @@ from fdmud.detect import (
 from fdmud.frame import FrameConfig, ReceivedFrame, generate_symbols, to_frequency_domain, transmit
 from fdmud.numerics import DegenerateScaleError, SingularMatrixError
 
-from conftest import crandn, detect_bin
+from conftest import build_circulant, crandn, detect_bin
 
 
 def normal_equations_oracle(a, y, sigma_w2):

@@ -4,7 +4,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fdmud.channel import ChannelConfig, ChannelRealization, build_circulant, draw_channel, to_bin_channels
+from fdmud.channel import ChannelConfig, ChannelRealization, draw_channel, to_bin_channels
 from fdmud.frame import (
     FrameConfig,
     ReceivedFrame,
@@ -18,7 +18,7 @@ from fdmud.frame import (
     transmit_bins,
 )
 
-from conftest import crandn
+from conftest import build_circulant, crandn
 
 
 def identity_realization(num_antennas, num_users, frame_len):

@@ -11,7 +11,6 @@ from fdmud.harness import (
     SCENARIO_TABLE,
     ScenarioConfig,
     build_scenario,
-    capacity,
     complexity_sweep,
     count_mults_mmse,
     count_mults_mrcmmse,
@@ -86,11 +85,8 @@ class TestComplexitySweep:
         rows = complexity_sweep([4], 30).rows
         assert [r[1] for r in rows] == [1, 2, 3]
 
-    def test_csv_format(self, tmp_path):
-        path = tmp_path / "complexity.csv"
-        text = complexity_sweep([4], 2).to_csv(path)
-        assert path.read_text(encoding="utf-8") == text
-        lines = text.strip().splitlines()
+    def test_csv_format(self):
+        lines = complexity_sweep([4], 2).to_csv().strip().splitlines()
         assert lines[0] == "M,K,mults_mmse,mults_mrcmmse"
         assert len(lines) == 3
 
@@ -162,25 +158,6 @@ class TestTheoreticalGains:
             theoretical_gains(4, 4)
 
 
-class TestCapacity:
-    def test_duty_cycle_example(self):
-        assert capacity(14 / 15, 1.0, 1.0) == pytest.approx(14 / 15)
-
-    def test_zero_snr(self):
-        assert capacity(0.5, 1e6, 0.0) == 0.0
-
-    def test_log_scaling(self):
-        assert capacity(1.0, 1e6, 3.0) == pytest.approx(2e6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            capacity(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            capacity(0.5, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            capacity(0.5, 1.0, -0.1)
-
-
 def tiny_scenario(**overrides):
     channel = ChannelConfig(
         num_antennas=4,
@@ -239,17 +216,12 @@ class TestRunMonteCarlo:
         peak_bytes(1)  # one-time allocations out of the way
         assert peak_bytes(3) <= 1.03 * peak_bytes(1)
 
-    def test_deterministic_csv(self, tmp_path):
-        out_a = tmp_path / "a.csv"
-        out_b = tmp_path / "b.csv"
-        run_monte_carlo(tiny_scenario(output=str(out_a)))
-        run_monte_carlo(tiny_scenario(output=str(out_b)))
-        assert out_a.read_bytes() == out_b.read_bytes()
+    def test_deterministic_csv(self):
+        assert run_monte_carlo(tiny_scenario()).to_csv() == run_monte_carlo(tiny_scenario()).to_csv()
 
-    def test_csv_columns(self, tmp_path):
-        out = tmp_path / "sinr.csv"
-        run_monte_carlo(tiny_scenario(output=str(out)))
-        lines = [l for l in out.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
+    def test_csv_columns(self):
+        text = run_monte_carlo(tiny_scenario()).to_csv()
+        lines = [l for l in text.splitlines() if not l.startswith("#")]
         header = lines[0].split(",")
         assert header == [
             "input_snr_db",
@@ -264,7 +236,7 @@ class TestRunMonteCarlo:
         assert len(lines) == 1 + 4
         assert all(line.endswith(",3,0") for line in lines[1:])
 
-    def test_degenerate_frame_counted_not_raised(self, monkeypatch, tmp_path):
+    def test_degenerate_frame_counted_not_raised(self, monkeypatch):
         # a zero-power column fails TR-MRC on every frame; the sweep goes on
         original = harness.detect_frame
 
@@ -274,15 +246,14 @@ class TestRunMonteCarlo:
             return original(rf, bins, sigma_w2, kind)
 
         monkeypatch.setattr(harness, "detect_frame", detect_frame)
-        out = tmp_path / "sinr.csv"
-        report = run_monte_carlo(tiny_scenario(output=str(out)))
+        report = run_monte_carlo(tiny_scenario())
         for row in report.rows:
             if row.detector is DetectorKind.TR_MRC:
                 assert (row.n_frames, row.n_failures) == (0, 3)
                 assert np.isnan(row.mean_output_sinr_db)
             else:
                 assert (row.n_frames, row.n_failures) == (3, 0)
-        lines = [l for l in out.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
+        lines = [l for l in report.to_csv().splitlines() if not l.startswith("#")]
         assert sorted(l.split(",")[-1] for l in lines[1:]) == ["0", "0", "3", "3"]
 
     def test_zero_power_column_counts_as_mrc_mmse_failure(self, monkeypatch, recwarn):

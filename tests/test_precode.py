@@ -150,14 +150,6 @@ class TestPrecodeFrame:
         assert result.beta_used.dtype.kind == "f"
         assert np.all(result.beta_used > 0)
 
-    def test_transmit_power_diagnostic(self):
-        _, bins, fc = self.scenario(seed=11)
-        rng = np.random.default_rng(11)
-        sf = generate_symbols(3, 32, "qpsk", rng)
-        result = precode_frame(sf, bins, fc.sigma_w2)
-        assert result.transmit_power == pytest.approx(np.sum(np.abs(result.x) ** 2))
-        assert result.transmit_power > 0
-
     def test_cache_without_unbias_matches_direct_path(self):
         # a cache holding inverses alone makes the precoder form the Gram
         _, bins, fc = self.scenario(seed=4)
