@@ -79,7 +79,12 @@ def _print_checks(checks) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     values = _resolve_values(args)
-    report = run_monte_carlo(build_scenario(values))
+    scenario = build_scenario(values)
+    # Fail on an unwritable output before the sweep, not after it.  Appending
+    # truncates nothing, so an existing file keeps its contents until then.
+    with open(values["output"], "a", encoding="utf-8"):
+        pass
+    report = run_monte_carlo(scenario)
     _write_csv(values["output"], report.to_csv())
     print(f"{'snr_db':>8} {'detector':>12} {'out_sinr_db':>12} {'gain_db':>9} "
           f"{'low_db':>8} {'high_db':>8} {'frames':>7} {'failed':>7}")

@@ -21,6 +21,13 @@ kernel loops over bins.  Every unbiasing reciprocal goes through one guard
 that names the first bin whose gain vanishes.  The MRC-MMSE kernel also
 returns its per-bin regularized Gram inverses and per-user unbiasing
 coefficients so the downlink precoder can reuse both.
+
+``detect_frame`` runs MRC-MMSE and ZF in chunks of bins at two levels: the
+K x K inverse on chunks sized by the (n, K, K) stack, since ``invert_hpd``
+costs a fixed amount per call, each forming its ``A^H A`` and ``A^H y`` in
+smaller chunks sized by ``A``.  At 64 x 14 x 2048 that is 7 chunks of about
+290 bins, in 4 sub-chunks each; at 128 x 16 x 512, 2 inverse calls where
+chunks sized by ``A`` alone made 19.  TR-MRC and low-SNR use the latter.
 """
 
 from __future__ import annotations
@@ -154,14 +161,31 @@ def _mmse(a: np.ndarray, y: np.ndarray, sigma_w2: float) -> np.ndarray:
     return _unbias(gain) * raw
 
 
-def _mrc_mmse(a, a_h, matched, sigma_w2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`mrcmmse_bin` for every bin, from ``matched`` = ``A^H y``.
+def _gram_and_matched(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``A_n^H A_n`` (N, K, K) and ``A_n^H y_n`` (N, K) for every bin of ``a`` and ``y``.
+
+    Formed in chunks sized by ``a``, which the products read.
+    """
+    n_bins, _, k_usr = a.shape
+    gram = np.empty((n_bins, k_usr, k_usr), dtype=np.complex128)
+    matched = np.empty((n_bins, k_usr), dtype=np.complex128)
+
+    def run(lo: int, hi: int) -> None:
+        a_h = a[lo:hi].conj().transpose(0, 2, 1)  # (n, K, M)
+        gram[lo:hi] = np.matmul(a_h, a[lo:hi])
+        matched[lo:hi] = _matched(a_h, y[lo:hi])
+
+    _split(n_bins, run, a.size + y.size)
+    return gram, matched
+
+
+def _mrc_mmse(gram, matched, sigma_w2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`mrcmmse_bin` for every bin, from ``gram`` = ``A^H A`` and ``matched`` = ``A^H y``.
 
     Returns the estimates, the regularized Gram inverses and the unbiasing
     coefficients, the last two for an :class:`InverseCache`.
     """
     _check_sigma(sigma_w2)
-    gram = np.matmul(a_h, a)  # (N, K, K)
     inverses = invert_hpd(gram + sigma_w2 * np.eye(gram.shape[-1]))
     # diag(inv G) = diag(I - sigma_w2 inv) is real; the imaginary part is rounding.
     unbias = _unbias(diag_of_product(inverses, gram).real)
@@ -179,10 +203,9 @@ def _low_snr(a, a_h, matched) -> np.ndarray:
     return _unbias(diag_of_product(a_h, a).real) * matched
 
 
-def _zf(a, a_h, matched) -> np.ndarray:
+def _zf(gram, matched) -> np.ndarray:
     """The zero-forcing limit ``(A^H A)^-1 A^H y``."""
-    inverses = invert_hpd(np.matmul(a_h, a))
-    return np.matmul(inverses, matched[:, :, np.newaxis])[..., 0]
+    return np.matmul(invert_hpd(gram), matched[:, :, np.newaxis])[..., 0]
 
 
 def _check_bin_args(a_n, y_n, tall: bool = False):
@@ -242,8 +265,9 @@ def mrcmmse_bin(a_n, r_n, sigma_w2: float) -> tuple[np.ndarray, np.ndarray]:
     if a_n.ndim != 2 or r_n.shape != (a_n.shape[1],):
         raise ValueError(f"r_n shape {r_n.shape} does not match a_n shape {a_n.shape}")
     a = a_n[np.newaxis]
+    gram = np.matmul(a.conj().transpose(0, 2, 1), a)
     matched = (a_n.shape[0] * r_n)[np.newaxis]
-    est, inverses, _ = _mrc_mmse(a, a.conj().transpose(0, 2, 1), matched, sigma_w2)
+    est, inverses, _ = _mrc_mmse(gram, matched, sigma_w2)
     return est[0], inverses[0]
 
 
@@ -285,20 +309,25 @@ def detect_frame(
         else:
             cache = None
 
-        def run(lo: int, hi: int) -> None:
-            a_c = a[lo:hi]
-            a_h = a_c.conj().transpose(0, 2, 1)  # (n, K, M)
-            matched = _matched(a_h, y[lo:hi])
-            if cache is not None:
-                est[lo:hi], cache.inv[lo:hi], cache.unbias[lo:hi] = _mrc_mmse(
-                    a_c, a_h, matched, sigma_w2
-                )
-            elif kind is DetectorKind.HIGH_SNR_ZF:
-                est[lo:hi] = _zf(a_c, a_h, matched)
-            else:
-                est[lo:hi] = _low_snr(a_c, a_h, matched)
+        if kind in (DetectorKind.MRC_MMSE, DetectorKind.HIGH_SNR_ZF):
 
-        _split(n_bins, run, a.size + y.size)
+            def run(lo: int, hi: int) -> None:
+                gram, matched = _gram_and_matched(a[lo:hi], y[lo:hi])
+                if cache is not None:
+                    est[lo:hi], cache.inv[lo:hi], cache.unbias[lo:hi] = _mrc_mmse(
+                        gram, matched, sigma_w2
+                    )
+                else:
+                    est[lo:hi] = _zf(gram, matched)
+
+            _split(n_bins, run, n_bins * k_usr * k_usr)
+        else:
+
+            def run(lo: int, hi: int) -> None:
+                a_h = a[lo:hi].conj().transpose(0, 2, 1)  # (n, K, M)
+                est[lo:hi] = _low_snr(a[lo:hi], a_h, _matched(a_h, y[lo:hi]))
+
+            _split(n_bins, run, a.size + y.size)
 
     s_hat_time = np.fft.ifft(est.T, axis=1, norm="ortho")
     return DetectionResult(s_hat_time=s_hat_time, kind=kind, cache=cache)

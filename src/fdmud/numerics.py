@@ -10,9 +10,11 @@ Everything else the algebra needs is plain NumPy (``@``, ``.conj()``,
 call.
 
 All operations are pure functions on immutable inputs and are safe to call
-concurrently.  ``_split`` runs each frame stage, ``invert_hpd`` included, on
-cache-sized contiguous chunks of bins (or of antennas).  Scalars are double
-precision throughout.
+concurrently.  ``_split`` runs each frame stage on cache-sized contiguous
+chunks of bins (or of antennas), sized by the arrays the stage reads; the
+``K x K`` stages that call ``invert_hpd``, whose triangular inverse costs a
+fixed amount per call, size theirs by their ``(n, K, K)`` stacks.  Scalars
+are double precision throughout.
 """
 
 from __future__ import annotations
@@ -135,10 +137,39 @@ def invert_hpd(m) -> np.ndarray:
                     index=idx,
                 ) from exc
         raise
-    low_inv = np.linalg.inv(low)
+    low_inv = _invert_lower(low)
     inv = np.swapaxes(low_inv, -2, -1).conj() @ low_inv  # L^-H L^-1
-    # The product is Hermitian only to rounding; make it exact.
-    return 0.5 * (inv + np.swapaxes(inv, -2, -1).conj())
+    # The product is Hermitian only to rounding; make it exact.  In place, as
+    # NumPy lays ``inv + inv^H`` out column-major from 84 bins of 14 x 14, and
+    # products with the inverses would then round by the chunk size.
+    inv += np.swapaxes(inv, -2, -1).conj()
+    inv *= 0.5
+    return inv
+
+
+def _invert_lower(low: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of Cholesky factors, by forward substitution.
+
+    ``L X = I`` is solved as the unit lower-triangular ``(D^-1 L) X = D^-1``,
+    ``D = diag(L)``, with the bins on the last axis, so each of the ``P - 1``
+    steps is one element-wise update of every bin; a bin's result does not
+    depend on the stack size.  On a 2-core host it took 0.75 ms for 292 bins
+    of 14 x 14 and 1.0 ms for 256 of 16 x 16, against 2.2 and 2.4 ms for
+    ``np.linalg.inv`` (an LU solve that ignores the triangle), but 0.05 ms
+    for one 14 x 14 factor against 0.01 ms: callers pass many bins at once.
+    """
+    p = low.shape[-1]
+    diag = np.arange(p)
+    unit = np.empty((p, p, low.size // (p * p)), dtype=low.dtype)
+    unit[...] = low.reshape(-1, p, p).transpose(1, 2, 0)
+    scale = 1.0 / unit[diag, diag].real  # Cholesky pivots are real and positive
+    unit *= scale[:, np.newaxis]
+    x = np.zeros_like(unit)
+    x[diag, diag] = scale
+    for j in range(p - 1):
+        # Row j of X is final; only its first j + 1 columns are nonzero.
+        x[j + 1 :, : j + 1] -= unit[j + 1 :, j, np.newaxis] * x[j, np.newaxis, : j + 1]
+    return np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(low.shape)
 
 
 def diag_of_product(a, b) -> np.ndarray:

@@ -8,8 +8,9 @@ per-user amplitude allocation is applied, and they equal the uplink
 MRC-MMSE unbiasing coefficients.  So precoding from an
 :class:`~fdmud.detect.InverseCache` costs a conjugation and forms no
 downlink Gram at all.  The direct path forms its own Gram stack and inverts
-it with one stacked call; its agreement with the cache path is the
-cross-check the test suite runs.
+it with one stacked call per chunk of bins, on chunks sized by the
+``(n, K, K)`` stack as in ``detect_frame``; its agreement with the cache
+path is the cross-check the test suite runs.
 
 The precoder algebra is written once, over a whole stack of bins, in
 ``precode_frame``; one bin is the N = 1 frame (a length-1 unitary DFT is the
@@ -116,17 +117,30 @@ def precode_frame(
     cached_beta = cache is not None and cache.unbias is not None
     beta = cache.unbias if cached_beta else np.empty((n_bins, k_usr))
 
+    # Chunks sized by the (n, K, K) stack, as detect_frame's K x K stage is;
+    # within each, the products that read A run in smaller chunks sized by A.
     def run(lo: int, hi: int) -> None:
-        a_c = a[lo:hi]
+        a_c, x_c = a[lo:hi], x[lo:hi]
         dl_inv = None if cache is None else np.conj(cache.inv[lo:hi])
         if not cached_beta:
-            gram_dl = np.matmul(a_c.transpose(0, 2, 1), a_c.conj())  # (n, K, K): A^T A^*
+            gram_dl = np.empty((hi - lo, k_usr, k_usr), dtype=np.complex128)
+
+            def form(i: int, j: int) -> None:
+                gram_dl[i:j] = np.matmul(a_c[i:j].transpose(0, 2, 1), a_c[i:j].conj())  # A^T A^*
+
+            _split(hi - lo, form, a_c.size)
             if dl_inv is None:
                 dl_inv = invert_hpd(gram_dl + sigma_w2 * np.eye(k_usr))
             beta[lo:hi] = _unbias(diag_of_product(gram_dl, dl_inv).real)
-        v = np.matmul(dl_inv, (power.p_sqrt * beta[lo:hi] * s_fd[lo:hi])[:, :, np.newaxis])
-        # A^* v as conj(A conj(v)): the same products, without a conjugated copy of A.
-        x[lo:hi] = np.matmul(a_c, v.conj()).conj()[..., 0]
+        v_conj = np.matmul(
+            dl_inv, (power.p_sqrt * beta[lo:hi] * s_fd[lo:hi])[:, :, np.newaxis]
+        ).conj()
 
-    _split(n_bins, run, a.size + s_fd.size)
+        def steer(i: int, j: int) -> None:
+            # A^* v as conj(A conj(v)): the same products, without a conjugated copy of A.
+            x_c[i:j] = np.matmul(a_c[i:j], v_conj[i:j]).conj()[..., 0]
+
+        _split(hi - lo, steer, a_c.size)
+
+    _split(n_bins, run, n_bins * k_usr * k_usr)
     return PrecodeResult(x=x.T, beta_used=beta.T)

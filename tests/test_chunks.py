@@ -7,7 +7,7 @@ split as large frames do.
 import numpy as np
 import pytest
 
-from fdmud import harness, numerics
+from fdmud import detect, harness, numerics, precode
 from fdmud.channel import BinChannel, ChannelConfig, draw_channel, to_bin_channels
 from fdmud.detect import DetectorKind, detect_frame
 from fdmud.frame import (
@@ -77,13 +77,97 @@ def test_outputs_do_not_depend_on_chunks(split, min_chunk):
         assert np.array_equal(value, expected[name]), f"{name} differs"
 
 
-def dead_column_frame(rng, bad_bins, m_ant=4, k_usr=2):
+def dead_column_frame(rng, bad_bins, m_ant=4, k_usr=2, n_bins=12):
     """A frame whose user-1 column is zero at ``bad_bins`` and nowhere else."""
-    a = np.tile(crandn(rng, m_ant, k_usr), (12, 1, 1))
+    a = np.tile(crandn(rng, m_ant, k_usr), (n_bins, 1, 1))
     a[list(bad_bins), :, 1] = 0.0
-    rf = ReceivedFrame(samples=crandn(rng, m_ant, 12), domain="frequency")
-    sf = SymbolFrame(symbols=crandn(rng, k_usr, 12))
+    rf = ReceivedFrame(samples=crandn(rng, m_ant, n_bins), domain="frequency")
+    sf = SymbolFrame(symbols=crandn(rng, k_usr, n_bins))
     return BinChannel(a=a), rf, sf
+
+
+# The K x K stages run in chunks sized by their (n, K, K) stacks, and form
+# their Gram stacks in sub-chunks sized by A.  At 32 x 14 x 200 the K x K
+# stack has 39,200 entries and each half of the frame reads 48,000 entries
+# of A and y (44,800 of A alone in the precoder), so a minimum of 100 bins of
+# 14 x 14 makes two K x K chunks of 100 bins, each run in two sub-chunks of
+# 50.  From 84 bins of 14 x 14 up, NumPy lays out ``inv + inv^H`` column-major
+# unless told otherwise, so one-bin chunks are compared as well.
+TWO_LEVEL = dict(m_ant=32, k_usr=14, n_bins=200)
+TWO_LEVEL_MIN = 100 * 14 * 14
+
+
+@pytest.fixture
+def chunk_log(monkeypatch):
+    """``(n, [chunk lengths])`` for every split ``detect`` and ``precode`` run."""
+    log = []
+    for module in (detect, precode):
+
+        def spy(n, fn, size, original=module._split):
+            lengths = []
+            log.append((n, lengths))
+            original(n, lambda lo, hi: (lengths.append(hi - lo), fn(lo, hi)), size)
+
+        monkeypatch.setattr(module, "_split", spy)
+    return log
+
+
+def k_by_k_outputs(bins, rf, sf):
+    """The outputs of every stage with a K x K inverse, as named arrays."""
+    uplink = detect_frame(rf, bins, 0.1, DetectorKind.MRC_MMSE)
+    direct = precode_frame(sf, bins, 0.1)
+    return {
+        "mrc_mmse": uplink.s_hat_time,
+        "cache.inv": uplink.cache.inv,
+        "cache.unbias": uplink.cache.unbias,
+        "high_snr_zf": detect_frame(rf, bins, 0.0, DetectorKind.HIGH_SNR_ZF).s_hat_time,
+        "precode.direct.x": direct.x,
+        "precode.direct.beta": direct.beta_used,
+    }
+
+
+@pytest.mark.parametrize("min_chunk", [TWO_LEVEL_MIN, 1])
+def test_k_by_k_stages_do_not_depend_on_chunks(split, rng, chunk_log, min_chunk):
+    frame = (
+        BinChannel(a=crandn(rng, 200, 32, 14)),
+        ReceivedFrame(samples=crandn(rng, 32, 200), domain="frequency"),
+        SymbolFrame(symbols=crandn(rng, 14, 200)),
+    )
+    split(WHOLE)
+    expected = k_by_k_outputs(*frame)
+    split(min_chunk)
+    del chunk_log[:]
+    for name, value in k_by_k_outputs(*frame).items():
+        assert np.array_equal(value, expected[name]), f"{name} differs"
+    if min_chunk == TWO_LEVEL_MIN:
+        halves = [(200, [100, 100])] + [(100, [50, 50])] * 2
+        # MRC-MMSE and ZF form A^H A and A^H y; the precoder forms A^T A^*,
+        # then steers each half through A.
+        assert chunk_log == halves + [(200, [100, 100])] + [(100, [50, 50])] * 4 + halves
+
+
+class TestTwoLevelErrorsNameTheGlobalBin:
+    """Bin 170 sits in the second sub-chunk of the second K x K chunk."""
+
+    def test_zero_power_column_in_mrc_mmse(self, split, rng):
+        split(TWO_LEVEL_MIN)
+        bins, rf, _ = dead_column_frame(rng, (170,), **TWO_LEVEL)
+        with pytest.raises(DegenerateScaleError, match=r"^bin 170: "):
+            detect_frame(rf, bins, 0.1, DetectorKind.MRC_MMSE)
+
+    def test_singular_gram_in_zero_forcing(self, split, rng):
+        split(TWO_LEVEL_MIN)
+        bins, rf, _ = dead_column_frame(rng, (170,), **TWO_LEVEL)
+        with pytest.raises(SingularMatrixError, match=r"^bin 170: ") as info:
+            detect_frame(rf, bins, 0.0, DetectorKind.HIGH_SNR_ZF)
+        assert info.value.index == 170
+
+    def test_singular_gram_in_direct_precoder(self, split, rng):
+        split(TWO_LEVEL_MIN)
+        bins, _, sf = dead_column_frame(rng, (170,), **TWO_LEVEL)
+        with pytest.raises(SingularMatrixError, match=r"^bin 170: ") as info:
+            precode_frame(sf, bins, 0.0)
+        assert info.value.index == 170
 
 
 # Detection reads 144 entries of a 12-bin frame and the precoder 120, so a

@@ -164,6 +164,15 @@ class TestSimulate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_output_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        def no_sweep(scenario):
+            pytest.fail("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", no_sweep)
+        rc = main(["simulate", *FAST_ARGS, "--output", str(tmp_path / "missing" / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_nan_sweep_point_fails_cleanly(self, capsys):
         rc = main(["simulate", *FAST_ARGS, "--snr-sweep", "0,nan"])
         assert rc == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fdmud.channel import ChannelConfig, ChannelRealization, to_bin_channels
@@ -144,6 +146,34 @@ class TestInvertHpdStack:
             assert np.abs(inv[idx] - single).max() <= 1e-12 * np.abs(single).max()
             oracle = np.linalg.inv(stack[idx])
             assert np.abs(inv[idx] - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+    # P up to 64 covers the M x M matrices verify inverts; the bins of one
+    # stack share a condition number, reached by eigenvalues spread evenly in
+    # log from 1/kappa to 1 under a random unitary, times a per-bin scale.
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 64),
+        batch=st.integers(1, 70),
+        log_kappa=st.floats(0.0, 8.0),
+        draw=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_lu_up_to_ill_conditioning(self, dim, batch, log_kappa, draw):
+        rng = np.random.default_rng(draw)
+        q, _ = np.linalg.qr(crandn(rng, batch, dim, dim))
+        eig = rng.permuted(np.logspace(-log_kappa, 0.0, dim)[np.newaxis].repeat(batch, 0), axis=1)
+        scale = 10.0 ** rng.uniform(-3, 3, size=(batch, 1, 1))
+        gram = scale * (q * eig[:, np.newaxis, :]) @ np.swapaxes(q, -2, -1).conj()
+        gram = 0.5 * (gram + np.swapaxes(gram, -2, -1).conj())
+        kappa = eig.max() / eig.min()
+        inv = invert_hpd(gram)
+        # Any inverse loses up to kappa * eps of relative accuracy, so the
+        # existing 1e-10 bound applies per unit of condition number.
+        oracle = np.linalg.inv(gram)
+        peak = np.abs(oracle).max(axis=(-2, -1))
+        assert np.all(np.abs(inv - oracle).max(axis=(-2, -1)) <= 1e-10 * kappa * peak)
+        residual = np.abs(gram @ inv - np.eye(dim)).max(axis=(-2, -1))
+        assert np.all(residual <= 1e-10 * kappa)
 
     def test_slices_exactly_hermitian(self, rng):
         inv = invert_hpd(hpd_stack(rng, 6))
