@@ -16,11 +16,11 @@ The detectors share the per-bin signal model ``y_n = A_n s_n + w_n``:
 Each estimator is one private kernel over a stack of bins.  ``detect_frame``
 runs it on all N bins and returns time-domain estimates; ``mmse_bin``,
 ``mrc_bin`` and ``mrcmmse_bin`` are the single-bin entry points, the first
-and last running their kernel as the N = 1 stack.  Only the M x M MMSE
-kernel loops over bins.  Every unbiasing reciprocal goes through one guard
-that names the first bin whose gain vanishes.  The MRC-MMSE kernel also
-returns its per-bin regularized Gram inverses and per-user unbiasing
-coefficients so the downlink precoder can reuse both.
+and last running their kernel as the N = 1 stack.  Only the Cholesky
+solve of the M x M MMSE kernel loops over bins.  Every unbiasing reciprocal
+goes through one guard that names the first bin whose gain vanishes.  The
+MRC-MMSE kernel also returns its per-bin regularized Gram inverses and
+per-user unbiasing coefficients so the downlink precoder can reuse both.
 
 ``detect_frame`` runs MRC-MMSE and ZF in chunks of bins at two levels: the
 K x K inverse on chunks sized by the (n, K, K) stack, since ``invert_hpd``
@@ -28,6 +28,8 @@ costs a fixed amount per call, each forming its ``A^H A`` and ``A^H y`` in
 smaller chunks sized by ``A``.  At 64 x 14 x 2048 that is 7 chunks of about
 290 bins, in 4 sub-chunks each; at 128 x 16 x 512, 2 inverse calls where
 chunks sized by ``A`` alone made 19.  TR-MRC and low-SNR use the latter.
+The M x M MMSE kernel runs on chunks sized by its (n, M, M) covariance
+stack: 18 chunks of 14 or 15 bins at 64 x 14 x 256.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .channel import BinChannel
 from .frame import FREQUENCY, ReceivedFrame
 from .numerics import (
     DegenerateScaleError,
-    SingularMatrixError,
     _split,
     diag_of_product,
     invert_hpd,
@@ -135,29 +136,37 @@ def _matched(a_h: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _mmse(a: np.ndarray, y: np.ndarray, sigma_w2: float) -> np.ndarray:
-    """:func:`mmse_bin` for every bin of ``a`` (N, M, K) and ``y`` (N, M)."""
+    """:func:`mmse_bin` for every bin of ``a`` (N, M, K) and ``y`` (N, M).
+
+    With ``A A^H + sigma_w2 I = L L^H`` and ``[B | c] = L^-1 [A | y]``, the
+    filter output ``A^H (A A^H + sigma_w2 I)^-1 y`` is ``B^H c`` and the
+    per-user gain ``diag(B^H B)``, the squared column norms of ``B``.
+    Solving with ``A`` as the right-hand side stays in the well-conditioned
+    range subspace of the covariance, unlike forming its M x M inverse.
+    """
     _check_sigma(sigma_w2)
     n_bins, m_ant, k_usr = a.shape
     shift = sigma_w2 * np.eye(m_ant)
-    gain = np.empty((n_bins, k_usr), dtype=np.complex128)
+    gain = np.empty((n_bins, k_usr))
     raw = np.empty((n_bins, k_usr), dtype=np.complex128)
-    # Per bin on purpose.  At 256 bins of 64 x 14 on a 2-core host (median of
-    # 7 runs over four SNRs) this loop takes 65 ms; a stacked Cholesky with
-    # one batched solve on [A | y] takes 84 ms, and SciPy's batched cho_solve
-    # 175 ms.  SciPy stays for the solve, and is loaded on its first call: at
-    # the same size with one BLAS thread this loop took 51 ms, and a NumPy-only
-    # batched Cholesky with blocked substitution (blocks of 8 to 32 rows)
-    # 80-129 ms.
-    for idx in range(n_bins):
-        a_n = a[idx]
-        try:
-            # Solving with A as the right-hand side stays in the well-conditioned
-            # range subspace of the covariance, unlike forming its M x M inverse.
-            filt = solve_hpd(a_n @ a_n.conj().T + shift, a_n).conj().T
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"bin {idx}: {exc}", index=idx) from exc
-        gain[idx] = diag_of_product(filt, a_n)
-        raw[idx] = filt @ y[idx]
+
+    # Batched per chunk on purpose.  NumPy and SciPy each run their own
+    # OpenBLAS thread pool, and on a 2-core host the pools contend whenever
+    # calls alternate between them: here twice per chunk, where a loop over
+    # bins alternated twice per bin.  At 64 x 14 x 256 this kernel took 40 ms
+    # against 60 ms for that loop (medians of 15, default threads), and the
+    # crosscheck benchmark op 80 ms against 102 ms.  A NumPy-only stacked
+    # solve (np.linalg.solve on the covariance stack) drops SciPy but made
+    # that op 13% slower, though its peak RSS was 21% lower.
+    def run(lo: int, hi: int) -> None:
+        a_c = a[lo:hi]
+        cov = np.matmul(a_c, a_c.conj().transpose(0, 2, 1)) + shift
+        solved = solve_hpd(cov, np.concatenate([a_c, y[lo:hi, :, np.newaxis]], axis=2))
+        b_h = solved[..., :k_usr].conj().transpose(0, 2, 1)  # (n, K, M)
+        gain[lo:hi] = diag_of_product(b_h, solved[..., :k_usr]).real
+        raw[lo:hi] = np.einsum("nkm,nm->nk", b_h, solved[..., k_usr])
+
+    _split(n_bins, run, n_bins * m_ant * m_ant)
     return _unbias(gain) * raw
 
 

@@ -9,12 +9,23 @@ Everything else the algebra needs is plain NumPy (``@``, ``.conj()``,
 ``solve_hpd``, the ``M x M`` MMSE reference, and is imported on its first
 call.
 
+``solve_hpd`` takes a stack and loops over its bins calling nothing but
+SciPy's ``potrf`` (LAPACK) and ``trsm`` (BLAS).  SciPy and NumPy each bring
+an OpenBLAS with its own thread pool, and on a 2-core host the two pools
+contend whenever calls alternate between them; a stack per call alternates
+twice per chunk of bins where a matrix per call did so per bin.  On
+the crosscheck benchmark (64 x 14 x 256) that took the reference from 272
+solve calls per op to 34 and the op from 9.8 to 12.8 per second.  A
+NumPy-only stacked solve, which needs no SciPy, made that op 13% slower,
+though it cut peak RSS by 21%.
+
 All operations are pure functions on immutable inputs and are safe to call
 concurrently.  ``_split`` runs each frame stage on cache-sized contiguous
 chunks of bins (or of antennas), sized by the arrays the stage reads; the
 ``K x K`` stages that call ``invert_hpd``, whose triangular inverse costs a
-fixed amount per call, size theirs by their ``(n, K, K)`` stacks.  Scalars
-are double precision throughout.
+fixed amount per call, size theirs by their ``(n, K, K)`` stacks, and the
+``M x M`` reference by its ``(n, M, M)`` covariance stack.  Scalars are
+double precision throughout.
 """
 
 from __future__ import annotations
@@ -49,13 +60,6 @@ class DegenerateScaleError(ValueError):
     """An unbiasing gain vanished, as a zero-power channel column makes it."""
 
 
-def _as_matrix(a, name: str = "a") -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError(f"{name} must be a nonempty 2-D matrix, got shape {a.shape}")
-    return a
-
-
 def _check_hermitian(m) -> np.ndarray:
     """Validate a square matrix, or a stack of them, as finite and Hermitian.
 
@@ -67,10 +71,18 @@ def _check_hermitian(m) -> np.ndarray:
         raise ValueError(f"m must be a nonempty matrix or stack of matrices, got shape {m.shape}")
     if m.shape[-1] != m.shape[-2]:
         raise ValueError(f"m must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("m must have finite entries")
-    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
-    skew = np.abs(m - np.swapaxes(m, -2, -1).conj()).max(axis=(-2, -1))
+    # The largest magnitude is finite exactly when every entry is.
+    peak = np.abs(m).max(axis=(-2, -1))
+    finite = np.isfinite(peak)
+    if not finite.all():
+        raise ValueError(f"bin {np.flatnonzero(~finite)[0]}: m must have finite entries")
+    scale = np.maximum(peak, 1.0)
+    # m^H - m from a contiguous copy of the transpose, in place: a fourth of
+    # the time of ``m - m^H`` through the strided view at 14 bins of 64 x 64.
+    diff = np.swapaxes(m, -2, -1).copy()
+    np.conjugate(diff, out=diff)
+    diff -= m
+    skew = np.abs(diff).max(axis=(-2, -1))
     bad = np.flatnonzero(skew > HERMITIAN_TOL * scale)
     if bad.size:
         raise ValueError(f"bin {bad[0]}: m is not Hermitian within tolerance")
@@ -78,10 +90,14 @@ def _check_hermitian(m) -> np.ndarray:
 
 
 def solve_hpd(m, b) -> np.ndarray:
-    """Solve ``m @ x = b`` for one Hermitian positive-definite ``m`` via Cholesky.
+    """``L^-1 b`` for each bin, where ``m = L L^H`` is its Cholesky factorization.
 
-    Substantially more accurate than multiplying by :func:`invert_hpd` when
-    ``m`` is near-singular but ``b`` lies in its well-conditioned range.
+    ``m`` is an ``(N, P, P)`` stack of Hermitian positive-definite matrices
+    and ``b`` an ``(N, P, R)`` stack of right-hand sides.  Half of a Cholesky
+    solve of ``m x = b``: a caller that needs ``b1^H m^-1 b2`` takes it as
+    ``(L^-1 b1)^H (L^-1 b2)``, which stays in the well-conditioned range of
+    ``m`` where multiplying by :func:`invert_hpd` would not.  Each bin runs
+    on its own, so its result does not depend on the stack around it.
     Raises the same errors as :func:`invert_hpd`.
     """
     # Imported here, not at module level: only the M x M MMSE reference solves
@@ -89,12 +105,29 @@ def solve_hpd(m, b) -> np.ndarray:
     # that runs without it would pay for nothing.
     import scipy.linalg
 
-    m = _check_hermitian(_as_matrix(m, "m"))
-    try:
-        factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"Cholesky factorization failed: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, np.asarray(b), check_finite=False)
+    m = _check_hermitian(m)
+    b = np.asarray(b)
+    if m.ndim != 3 or b.ndim != 3 or b.shape[:2] != m.shape[:2]:
+        raise ValueError(f"dimension mismatch: m {m.shape}, b {b.shape}")
+    (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (m, b))
+    # BLAS trsm, not LAPACK trtrs: the same bytes, since trtrs only adds a
+    # check for a zero pivot that a successful potrf rules out, but through
+    # trtrs the single-bin calls contended more.  With default threads,
+    # ``verify``'s detector-equivalence check (1,000 single bins) took 5.7 s
+    # through trtrs and 4.8 s through trsm, as it did per bin through
+    # cho_solve (medians of 5 to 9 runs, 2-core host).
+    (trsm,) = scipy.linalg.get_blas_funcs(("trsm",), (m, b))
+    out = np.empty(b.shape, dtype=np.result_type(m, b))
+    for idx in range(len(m)):
+        low, info = potrf(m[idx], lower=1, clean=0)
+        if info > 0:
+            raise SingularMatrixError(
+                f"bin {idx}: Cholesky factorization failed (not positive definite)", index=idx
+            )
+        if info < 0:
+            raise ValueError(f"bin {idx}: potrf rejected argument {-info}")
+        out[idx] = trsm(1.0, low, b[idx], lower=1)
+    return out
 
 
 def invert_hpd(m) -> np.ndarray:

@@ -24,7 +24,7 @@ from .frame import (
     transmit_bins,
 )
 from .harness import SCENARIO_TABLE, build_scenario
-from .numerics import diag_of_product, invert_hpd
+from .numerics import _split, diag_of_product, invert_hpd
 from .precode import precode_frame
 
 __all__ = [
@@ -228,8 +228,15 @@ def check_cache_conjugate_reuse(seed: int = 7) -> CheckResult:
     """Conjugated uplink inverses equal independently computed downlink ones."""
     scenario = build_scenario({key: row[0] for key, row in SCENARIO_TABLE.items()} | {"seed": seed})
     bins, cache, _ = _uplink_cache(scenario.channel, scenario.frame)
-    eye = scenario.frame.sigma_w2 * np.eye(scenario.channel.num_users)
-    direct = invert_hpd(np.swapaxes(bins.a, 1, 2) @ bins.a.conj() + eye)
+    n_bins, _, k_usr = bins.a.shape
+    eye = scenario.frame.sigma_w2 * np.eye(k_usr)
+    direct = np.empty((n_bins, k_usr, k_usr), dtype=np.complex128)
+
+    def run(lo: int, hi: int) -> None:
+        a = bins.a[lo:hi]
+        direct[lo:hi] = invert_hpd(np.swapaxes(a, 1, 2) @ a.conj() + eye)
+
+    _split(n_bins, run, direct.size)
     worst = float(np.abs(np.conj(cache.inv) - direct).max())
     return _result(
         "cache-conjugate-reuse",

@@ -202,6 +202,19 @@ class TestErrorsNameTheGlobalBin:
             precode_frame(sf, bins, 0.1)
 
 
+def test_zero_pivot_in_mmse_names_the_global_bin(split, rng):
+    # Bin 7's four columns all equal 2**60, so A A^H = 2**122 ones absorbs
+    # sigma_w2 = 1 and the Cholesky meets an exact zero second pivot.  The
+    # covariance stack has 12 bins of 6 x 6: chunks [0, 4), [4, 8), [8, 12).
+    split(4 * 6 * 6)
+    a = crandn(rng, 12, 6, 4)
+    a[7] = 2.0**60
+    rf = ReceivedFrame(samples=crandn(rng, 6, 12), domain="frequency")
+    with pytest.raises(SingularMatrixError, match=r"^bin 7: ") as info:
+        detect_frame(rf, BinChannel(a=a), 1.0, DetectorKind.MMSE)
+    assert info.value.index == 7
+
+
 def test_a_failing_last_chunk_counts_as_a_failed_frame(split, monkeypatch):
     split(1)
     original = harness.to_bin_channels

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from fdmud.channel import ChannelConfig, ChannelRealization, to_bin_channels
 from fdmud.frame import ReceivedFrame, to_frequency_domain
-from fdmud.numerics import SingularMatrixError, diag_of_product, invert_hpd
+from fdmud.numerics import SingularMatrixError, diag_of_product, invert_hpd, solve_hpd
 
 from conftest import crandn, dft_matrix
 
@@ -135,6 +135,20 @@ def hpd_stack(rng, *lead, dim=5):
     return gram * 10.0 ** rng.uniform(-3, 3, size=(*lead, 1, 1))
 
 
+def conditioned_stack(rng, batch, dim, log_kappa):
+    """``batch`` HPD matrices of ``dim`` x ``dim`` sharing the condition number ``kappa``.
+
+    Eigenvalues spread evenly in log from 1/kappa to 1 under a random
+    unitary, times a per-bin scale of 1e-3..1e3.  Returns the stack and kappa.
+    """
+    q, _ = np.linalg.qr(crandn(rng, batch, dim, dim))
+    eig = rng.permuted(np.logspace(-log_kappa, 0.0, dim)[np.newaxis].repeat(batch, 0), axis=1)
+    scale = 10.0 ** rng.uniform(-3, 3, size=(batch, 1, 1))
+    gram = scale * (q * eig[:, np.newaxis, :]) @ np.swapaxes(q, -2, -1).conj()
+    gram = 0.5 * (gram + np.swapaxes(gram, -2, -1).conj())
+    return gram, eig.max() / eig.min()
+
+
 class TestInvertHpdStack:
     @pytest.mark.parametrize("lead", [(1,), (7,), (3, 4)])
     def test_matches_per_slice(self, rng, lead):
@@ -147,9 +161,7 @@ class TestInvertHpdStack:
             oracle = np.linalg.inv(stack[idx])
             assert np.abs(inv[idx] - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
-    # P up to 64 covers the M x M matrices verify inverts; the bins of one
-    # stack share a condition number, reached by eigenvalues spread evenly in
-    # log from 1/kappa to 1 under a random unitary, times a per-bin scale.
+    # P up to 64 covers the M x M matrices verify inverts.
     @seed(20261019)
     @settings(max_examples=60, deadline=None)
     @given(
@@ -159,13 +171,7 @@ class TestInvertHpdStack:
         draw=st.integers(0, 2**32 - 1),
     )
     def test_matches_lu_up_to_ill_conditioning(self, dim, batch, log_kappa, draw):
-        rng = np.random.default_rng(draw)
-        q, _ = np.linalg.qr(crandn(rng, batch, dim, dim))
-        eig = rng.permuted(np.logspace(-log_kappa, 0.0, dim)[np.newaxis].repeat(batch, 0), axis=1)
-        scale = 10.0 ** rng.uniform(-3, 3, size=(batch, 1, 1))
-        gram = scale * (q * eig[:, np.newaxis, :]) @ np.swapaxes(q, -2, -1).conj()
-        gram = 0.5 * (gram + np.swapaxes(gram, -2, -1).conj())
-        kappa = eig.max() / eig.min()
+        gram, kappa = conditioned_stack(np.random.default_rng(draw), batch, dim, log_kappa)
         inv = invert_hpd(gram)
         # Any inverse loses up to kappa * eps of relative accuracy, so the
         # existing 1e-10 bound applies per unit of condition number.
@@ -208,6 +214,63 @@ class TestInvertHpdStack:
         stack[1, 0, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
             invert_hpd(stack)
+
+    def test_non_finite_slice_named(self, rng):
+        stack = hpd_stack(rng, 5)
+        stack[3, 2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^bin 3: m must have finite entries"):
+            invert_hpd(stack)
+
+
+# The M x M MMSE reference solves covariance stacks of up to 64 x 64 with the
+# K + 1 columns of [A | y] as right-hand sides.
+SOLVE_CASES = dict(
+    dim=st.integers(1, 64),
+    batch=st.integers(1, 12),
+    rhs=st.integers(1, 16),
+    log_kappa=st.floats(0.0, 8.0),
+    draw=st.integers(0, 2**32 - 1),
+)
+
+
+def solve_case(dim, batch, rhs, log_kappa, draw):
+    rng = np.random.default_rng(draw)
+    gram, kappa = conditioned_stack(rng, batch, dim, log_kappa)
+    return gram, crandn(rng, batch, dim, rhs), kappa
+
+
+class TestSolveHpdStack:
+    @seed(20261020)
+    @settings(max_examples=60, deadline=None)
+    @given(**SOLVE_CASES)
+    def test_solves_with_the_cholesky_factor(self, **case):
+        gram, b, kappa = solve_case(**case)
+        x = solve_hpd(gram, b)
+        low = np.linalg.cholesky(gram)
+        # The two factorizations may round apart by up to kappa * eps relative
+        # to the factor, so the existing 1e-10 bound applies per unit of
+        # condition number, relative to |L| |x|.
+        residual = np.abs(low @ x - b).max(axis=(-2, -1))
+        size = np.abs(low).max(axis=(-2, -1)) * np.abs(x).max(axis=(-2, -1))
+        assert np.all(residual <= 1e-10 * kappa * size)
+
+    @seed(20261021)
+    @settings(max_examples=60, deadline=None)
+    @given(**SOLVE_CASES)
+    def test_bin_alone_matches_bin_in_stack(self, **case):
+        gram, b, _ = solve_case(**case)
+        whole = solve_hpd(gram, b)
+        pick = case["draw"] % len(gram)
+        alone = solve_hpd(gram[pick : pick + 1], b[pick : pick + 1])
+        assert np.array_equal(alone[0], whole[pick])
+
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_singular_slice_named(self, rng, bad):
+        stack = hpd_stack(rng, 5)
+        stack[bad] = np.diag([1.0, 1.0, 0.0, 1.0, 1.0])
+        with pytest.raises(SingularMatrixError, match=rf"^bin {bad}: ") as info:
+            solve_hpd(stack, crandn(rng, 5, 5, 2))
+        assert info.value.index == bad
 
 
 class TestElementwiseOps:
