@@ -110,13 +110,17 @@ class DetectionResult:
 def _unbias(gain: np.ndarray) -> np.ndarray:
     """``1 / gain`` for an (N, K) stack of per-user end-to-end gains.
 
-    Raises :class:`~fdmud.numerics.DegenerateScaleError` naming the first bin
-    whose gain vanishes (or is not a number), as a zero-power channel column
-    makes it.
+    Names the first bin and user whose gain is bad: a vanishing gain, as a
+    zero-power channel column makes it, raises
+    :class:`~fdmud.numerics.DegenerateScaleError`, and a gain that is not
+    finite a ``ValueError``.
     """
-    bad = ~(np.abs(gain) > _GAIN_FLOOR)
+    mag = np.abs(gain)
+    bad = ~((mag > _GAIN_FLOOR) & (mag < np.inf))
     if bad.any():
         n, k = np.argwhere(bad)[0]
+        if not np.isfinite(gain[n, k]):
+            raise ValueError(f"bin {n}: user {k} has a non-finite unbiasing gain ({gain[n, k]})")
         raise DegenerateScaleError(
             f"bin {n}: user {k} has a vanishing unbiasing gain (zero-power channel column)"
         )
@@ -146,22 +150,23 @@ def _mmse(a: np.ndarray, y: np.ndarray, sigma_w2: float) -> np.ndarray:
     """
     _check_sigma(sigma_w2)
     n_bins, m_ant, k_usr = a.shape
-    shift = sigma_w2 * np.eye(m_ant)
     gain = np.empty((n_bins, k_usr))
     raw = np.empty((n_bins, k_usr), dtype=np.complex128)
 
-    # Batched per chunk on purpose.  NumPy and SciPy each run their own
-    # OpenBLAS thread pool, and on a 2-core host the pools contend whenever
-    # calls alternate between them: here twice per chunk, where a loop over
-    # bins alternated twice per bin.  At 64 x 14 x 256 this kernel took 40 ms
-    # against 60 ms for that loop (medians of 15, default threads), and the
-    # crosscheck benchmark op 80 ms against 102 ms.  A NumPy-only stacked
-    # solve (np.linalg.solve on the covariance stack) drops SciPy but made
-    # that op 13% slower, though its peak RSS was 21% lower.
+    # Batched per chunk on purpose, with every BLAS call in SciPy.  NumPy and
+    # SciPy each run their own OpenBLAS thread pool, and on a 2-core host the
+    # pools contend whenever calls alternate between them.  solve_hpd forms
+    # each covariance with SciPy's herk, and the gains and outputs below use
+    # einsum, which calls no BLAS, so the pools do not alternate at all.
+    # With NumPy forming the covariance stack they alternated twice per
+    # chunk: at 128 x 16 x 128 (chunks of 3 or 4 bins) this kernel took
+    # 0.50 s that way and 58 ms now, and 50 against 36 ms at 64 x 14 x 256
+    # (medians of 9, default threads).  A NumPy-only stacked solve
+    # (np.linalg.solve on the covariance stack) drops SciPy but made the
+    # crosscheck benchmark op 13% slower, though its peak RSS was 21% lower.
     def run(lo: int, hi: int) -> None:
         a_c = a[lo:hi]
-        cov = np.matmul(a_c, a_c.conj().transpose(0, 2, 1)) + shift
-        solved = solve_hpd(cov, np.concatenate([a_c, y[lo:hi, :, np.newaxis]], axis=2))
+        solved = solve_hpd(a_c, sigma_w2, np.concatenate([a_c, y[lo:hi, :, np.newaxis]], axis=2))
         b_h = solved[..., :k_usr].conj().transpose(0, 2, 1)  # (n, K, M)
         gain[lo:hi] = diag_of_product(b_h, solved[..., :k_usr]).real
         raw[lo:hi] = np.einsum("nkm,nm->nk", b_h, solved[..., k_usr])
@@ -289,9 +294,10 @@ def detect_frame(
     processed independently; ``TR_MRC`` and ``LOW_SNR`` run the same kernel.
     For ``DetectorKind.MRC_MMSE`` the per-bin K x K inverses and unbiasing
     coefficients are collected into an :class:`InverseCache` on the result.
-    A singular bin raises :class:`~fdmud.numerics.SingularMatrixError` and a
-    zero-power channel column :class:`~fdmud.numerics.DegenerateScaleError`,
-    each naming the first offending bin.
+    A singular bin raises :class:`~fdmud.numerics.SingularMatrixError`, a
+    zero-power channel column :class:`~fdmud.numerics.DegenerateScaleError`
+    and a non-finite received sample or channel entry ``ValueError``, each
+    naming the first offending bin.
     """
     if rf.domain != FREQUENCY:
         raise ValueError("detect_frame requires a frequency-domain frame")
@@ -300,6 +306,9 @@ def detect_frame(
     n_bins, m_ant, k_usr = a.shape
     if y.shape != (m_ant, n_bins):
         raise ValueError(f"frame shape {y.shape} does not match bin channels {a.shape}")
+    finite = np.isfinite(y).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"bin {np.flatnonzero(~finite)[0]}: received samples must be finite")
     y = y.T  # (N, M)
 
     if kind is DetectorKind.MMSE:

@@ -1,23 +1,25 @@
 """Hermitian positive-definite linear algebra and the errors the detectors raise.
 
-``invert_hpd`` and ``solve_hpd`` factorize via Cholesky and reject input that
-is not finite and Hermitian; ``diag_of_product`` takes the diagonal of a
-product without forming it.  A stack holds one matrix per bin, so the errors
-name the first failing matrix ``bin i`` and callers pass them on unchanged.
+``invert_hpd`` and ``solve_hpd`` factorize via Cholesky and reject input
+that is not finite (or, given to ``invert_hpd``, not Hermitian);
+``diag_of_product`` takes the diagonal of a product without forming it.  A
+stack holds one matrix per bin, so the errors name the first failing matrix
+``bin i`` and callers pass them on unchanged.
 Everything else the algebra needs is plain NumPy (``@``, ``.conj()``,
 ``np.fft``), so ``import fdmud`` loads NumPy alone.  SciPy serves only
 ``solve_hpd``, the ``M x M`` MMSE reference, and is imported on its first
 call.
 
-``solve_hpd`` takes a stack and loops over its bins calling nothing but
-SciPy's ``potrf`` (LAPACK) and ``trsm`` (BLAS).  SciPy and NumPy each bring
-an OpenBLAS with its own thread pool, and on a 2-core host the two pools
-contend whenever calls alternate between them; a stack per call alternates
-twice per chunk of bins where a matrix per call did so per bin.  On
-the crosscheck benchmark (64 x 14 x 256) that took the reference from 272
-solve calls per op to 34 and the op from 9.8 to 12.8 per second.  A
-NumPy-only stacked solve, which needs no SciPy, made that op 13% slower,
-though it cut peak RSS by 21%.
+``solve_hpd`` takes a stack of ``A`` and loops over its bins calling nothing
+but SciPy's ``herk`` and ``trsm`` (BLAS) and ``potrf`` (LAPACK), so the
+``M x M`` reference makes no NumPy BLAS call.  SciPy and NumPy each bring an
+OpenBLAS with its own thread pool, and on a 2-core host the two pools
+contend whenever calls alternate between them.  Forming each covariance
+``A A^H + sigma_w2 I`` with NumPy outside the loop alternated twice per
+chunk of bins; at 128 x 16 x 128, whose chunks hold 3 or 4 bins, the
+reference took 0.50 s that way and 58 ms with ``herk`` in the loop.  A
+NumPy-only stacked solve, which needs no SciPy, made the crosscheck
+benchmark op 13% slower, though it cut peak RSS by 21%.
 
 All operations are pure functions on immutable inputs and are safe to call
 concurrently.  ``_split`` runs each frame stage on cache-sized contiguous
@@ -89,37 +91,52 @@ def _check_hermitian(m) -> np.ndarray:
     return m
 
 
-def solve_hpd(m, b) -> np.ndarray:
-    """``L^-1 b`` for each bin, where ``m = L L^H`` is its Cholesky factorization.
+def solve_hpd(a, sigma_w2: float, b) -> np.ndarray:
+    """``L^-1 b`` for each bin, where ``A A^H + sigma_w2 I = L L^H`` is its Cholesky factorization.
 
-    ``m`` is an ``(N, P, P)`` stack of Hermitian positive-definite matrices
-    and ``b`` an ``(N, P, R)`` stack of right-hand sides.  Half of a Cholesky
-    solve of ``m x = b``: a caller that needs ``b1^H m^-1 b2`` takes it as
-    ``(L^-1 b1)^H (L^-1 b2)``, which stays in the well-conditioned range of
-    ``m`` where multiplying by :func:`invert_hpd` would not.  Each bin runs
-    on its own, so its result does not depend on the stack around it.
-    Raises the same errors as :func:`invert_hpd`.
+    ``a`` is an ``(N, P, K)`` stack, ``sigma_w2`` a finite non-negative
+    scalar and ``b`` an ``(N, P, R)`` stack of right-hand sides; the result
+    is complex, shaped like ``b``.  Half of a Cholesky solve of
+    ``(A A^H + sigma_w2 I) x = b``: a caller that needs
+    ``b1^H (A A^H + sigma_w2 I)^-1 b2`` takes it as ``(L^-1 b1)^H (L^-1 b2)``,
+    which stays in the well-conditioned range of the covariance where
+    multiplying by :func:`invert_hpd` would not.  Each bin runs on its own,
+    so its result does not depend on the stack around it.
+
+    Raises ``ValueError`` naming the first bin of ``a`` or ``b`` with a
+    non-finite entry, and :class:`SingularMatrixError` naming the first bin
+    whose covariance is not positive definite.
     """
     # Imported here, not at module level: only the M x M MMSE reference solves
     # this way, and importing scipy.linalg costs about 0.33 s and 28 MB of RSS
     # that runs without it would pay for nothing.
     import scipy.linalg
 
-    m = _check_hermitian(m)
-    b = np.asarray(b)
-    if m.ndim != 3 or b.ndim != 3 or b.shape[:2] != m.shape[:2]:
-        raise ValueError(f"dimension mismatch: m {m.shape}, b {b.shape}")
-    (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (m, b))
-    # BLAS trsm, not LAPACK trtrs: the same bytes, since trtrs only adds a
-    # check for a zero pivot that a successful potrf rules out, but through
-    # trtrs the single-bin calls contended more.  With default threads,
-    # ``verify``'s detector-equivalence check (1,000 single bins) took 5.7 s
-    # through trtrs and 4.8 s through trsm, as it did per bin through
-    # cho_solve (medians of 5 to 9 runs, 2-core host).
-    (trsm,) = scipy.linalg.get_blas_funcs(("trsm",), (m, b))
-    out = np.empty(b.shape, dtype=np.result_type(m, b))
-    for idx in range(len(m)):
-        low, info = potrf(m[idx], lower=1, clean=0)
+    # Complex double throughout: BLAS has no real herk, and single-precision
+    # input would select single-precision routines.
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.ndim != 3 or b.ndim != 3 or a.shape[1] == 0 or b.shape[:2] != a.shape[:2]:
+        raise ValueError(f"dimension mismatch: a {a.shape}, b {b.shape}")
+    if not 0.0 <= sigma_w2 < np.inf:
+        raise ValueError(f"sigma_w2 must be finite and non-negative, got {sigma_w2}")
+    for name, x in (("a", a), ("b", b)):
+        finite = np.isfinite(x).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"bin {np.flatnonzero(~finite)[0]}: {name} must have finite entries")
+    # herk fills the lower triangle of A A^H, which is all potrf reads, and
+    # is Hermitian by construction, so only finiteness needs checking.  BLAS
+    # trsm, not LAPACK trtrs: the same bytes, since trtrs only adds a check
+    # for a zero pivot that a successful potrf rules out, but through trtrs
+    # the single-bin calls contended more.
+    herk, trsm = scipy.linalg.get_blas_funcs(("herk", "trsm"), (a, b))
+    (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (a, b))
+    diag = np.arange(a.shape[1])
+    out = np.empty_like(b)
+    for idx in range(len(a)):
+        cov = herk(1.0, a[idx], lower=1)
+        cov[diag, diag] += sigma_w2
+        low, info = potrf(cov, lower=1, clean=0, overwrite_a=1)
         if info > 0:
             raise SingularMatrixError(
                 f"bin {idx}: Cholesky factorization failed (not positive definite)", index=idx

@@ -6,6 +6,7 @@ from fdmud.channel import ChannelConfig, draw_channel, to_bin_channels
 from fdmud.detect import (
     DetectorKind,
     InverseCache,
+    _unbias,
     detect_frame,
     mmse_bin,
     mrc_bin,
@@ -34,6 +35,10 @@ def per_bin_oracle(kind, a, y, sigma_w2):
         return normal_equations_oracle(a, y, sigma_w2)
     if kind is DetectorKind.HIGH_SNR_ZF:
         return np.linalg.solve(gram, matched)
+    if kind is DetectorKind.MMSE:
+        # the M x M receive-side solve, unbiased by the diagonal of W^H A
+        w = np.linalg.solve(a @ a.conj().T + sigma_w2 * np.eye(a.shape[0]), a)
+        return (w.conj().T @ y) / np.diag(w.conj().T @ a).real
     return matched / np.diag(gram).real  # TR-MRC and low-SNR: diagonally unbiased
 
 
@@ -254,6 +259,20 @@ class TestDetectFrame:
         expected = np.fft.ifft(est, axis=1, norm="ortho")
         assert np.abs(result.s_hat_time - expected).max() <= 1e-12
 
+    def test_mmse_matches_per_bin_solve_at_128_antennas(self):
+        # 128 x 16 x 128: the M x M reference runs in several chunks of bins
+        _, bins, fc, _, rf = small_scenario(seed=12, frame_len=128, m_ant=128, k_usr=16, l_h=16)
+        result = detect_frame(rf, bins, fc.sigma_w2, DetectorKind.MMSE)
+        est = np.stack(
+            [
+                per_bin_oracle(DetectorKind.MMSE, bins.a[idx], rf.samples[:, idx], fc.sigma_w2)
+                for idx in range(128)
+            ],
+            axis=1,
+        )
+        expected = np.fft.ifft(est, axis=1, norm="ortho")
+        assert np.abs(result.s_hat_time - expected).max() <= 1e-12
+
     def test_tr_mrc_equals_unbiased_mrc(self):
         _, bins, fc, _, rf = small_scenario(seed=5)
         tr = detect_frame(rf, bins, fc.sigma_w2, DetectorKind.TR_MRC)
@@ -324,6 +343,38 @@ class TestDetectFrame:
         rf = ReceivedFrame(samples=crandn(rng, 4, 8), domain="frequency")
         with pytest.raises(DegenerateScaleError, match="bin 3"):
             detect_frame(rf, BinChannel(a=a), 0.1, kind)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    def test_non_finite_sample_rejected_naming_the_bin(self, rng, kind, value):
+        from fdmud.channel import BinChannel
+
+        y = crandn(rng, 4, 8)
+        y[2, 5] = value
+        rf = ReceivedFrame(samples=y, domain="frequency")
+        with pytest.raises(ValueError, match=r"^bin 5: received samples must be finite"):
+            detect_frame(rf, BinChannel(a=crandn(rng, 8, 4, 2)), 0.1, kind)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    def test_non_finite_channel_rejected_naming_the_bin(self, rng, kind, value):
+        from fdmud.channel import BinChannel
+
+        a = crandn(rng, 8, 4, 2)
+        a[5, 2, 1] = value
+        rf = ReceivedFrame(samples=crandn(rng, 4, 8), domain="frequency")
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"^bin 5: ") as info:
+            detect_frame(rf, BinChannel(a=a), 0.1, kind)
+        assert not isinstance(info.value, DegenerateScaleError)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gain_named_apart_from_a_vanishing_one(self, value):
+        gain = np.ones((4, 3))
+        gain[2, 1] = value
+        gain[3, 0] = 0.0  # a later vanishing gain does not mask the first bad one
+        with pytest.raises(ValueError, match=r"^bin 2: user 1 has a non-finite unbiasing gain") as info:
+            _unbias(gain)
+        assert not isinstance(info.value, DegenerateScaleError)
 
     def test_zero_sigma_rejected_for_mmse_kinds(self):
         _, bins, fc, _, rf = small_scenario(seed=2)

@@ -234,9 +234,18 @@ SOLVE_CASES = dict(
 
 
 def solve_case(dim, batch, rhs, log_kappa, draw):
+    """``a``, ``sigma_w2`` and ``b`` whose covariances ``A A^H + sigma_w2 I`` have condition number ``kappa``.
+
+    The covariances are :func:`conditioned_stack`'s.  ``sigma_w2`` is half
+    the smallest eigenvalue in the stack and ``a`` a dense square root of
+    the rest: its Cholesky factor times a random unitary.
+    """
     rng = np.random.default_rng(draw)
-    gram, kappa = conditioned_stack(rng, batch, dim, log_kappa)
-    return gram, crandn(rng, batch, dim, rhs), kappa
+    cov, kappa = conditioned_stack(rng, batch, dim, log_kappa)
+    sigma_w2 = 0.5 * np.linalg.eigvalsh(cov).min()
+    root = np.linalg.cholesky(cov - sigma_w2 * np.eye(dim))
+    spin, _ = np.linalg.qr(crandn(rng, batch, dim, dim))
+    return root @ spin, sigma_w2, crandn(rng, batch, dim, rhs), kappa
 
 
 class TestSolveHpdStack:
@@ -244,9 +253,10 @@ class TestSolveHpdStack:
     @settings(max_examples=60, deadline=None)
     @given(**SOLVE_CASES)
     def test_solves_with_the_cholesky_factor(self, **case):
-        gram, b, kappa = solve_case(**case)
-        x = solve_hpd(gram, b)
-        low = np.linalg.cholesky(gram)
+        a, sigma_w2, b, kappa = solve_case(**case)
+        x = solve_hpd(a, sigma_w2, b)
+        cov = a @ np.swapaxes(a, -2, -1).conj() + sigma_w2 * np.eye(a.shape[1])
+        low = np.linalg.cholesky(cov)
         # The two factorizations may round apart by up to kappa * eps relative
         # to the factor, so the existing 1e-10 bound applies per unit of
         # condition number, relative to |L| |x|.
@@ -258,19 +268,35 @@ class TestSolveHpdStack:
     @settings(max_examples=60, deadline=None)
     @given(**SOLVE_CASES)
     def test_bin_alone_matches_bin_in_stack(self, **case):
-        gram, b, _ = solve_case(**case)
-        whole = solve_hpd(gram, b)
-        pick = case["draw"] % len(gram)
-        alone = solve_hpd(gram[pick : pick + 1], b[pick : pick + 1])
+        a, sigma_w2, b, _ = solve_case(**case)
+        whole = solve_hpd(a, sigma_w2, b)
+        pick = case["draw"] % len(a)
+        alone = solve_hpd(a[pick : pick + 1], sigma_w2, b[pick : pick + 1])
         assert np.array_equal(alone[0], whole[pick])
 
     @pytest.mark.parametrize("bad", [0, 3])
     def test_singular_slice_named(self, rng, bad):
-        stack = hpd_stack(rng, 5)
-        stack[bad] = np.diag([1.0, 1.0, 0.0, 1.0, 1.0])
+        # Seven columns give the other bins full rank.  A zero row of A gives
+        # A A^H a zero row and column, so with no regularization the
+        # Cholesky meets an exact zero pivot.
+        a = crandn(rng, 5, 5, 7)
+        a[bad, 2] = 0.0
         with pytest.raises(SingularMatrixError, match=rf"^bin {bad}: ") as info:
-            solve_hpd(stack, crandn(rng, 5, 5, 2))
+            solve_hpd(a, 0.0, crandn(rng, 5, 5, 2))
         assert info.value.index == bad
+
+    @pytest.mark.parametrize("name", ["a", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_slice_named(self, rng, name, value):
+        args = {"a": crandn(rng, 5, 4, 3), "b": crandn(rng, 5, 4, 2)}
+        args[name][3, 1, 0] = value
+        with pytest.raises(ValueError, match=rf"^bin 3: {name} must have finite entries"):
+            solve_hpd(args["a"], 0.5, args["b"])
+
+    @pytest.mark.parametrize("sigma_w2", [-1.0, np.inf, np.nan])
+    def test_negative_or_non_finite_sigma_rejected(self, rng, sigma_w2):
+        with pytest.raises(ValueError, match="sigma_w2 must be finite and non-negative"):
+            solve_hpd(crandn(rng, 2, 4, 3), sigma_w2, crandn(rng, 2, 4, 1))
 
 
 class TestElementwiseOps:
