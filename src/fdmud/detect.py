@@ -10,7 +10,7 @@ The detectors share the per-bin signal model ``y_n = A_n s_n + w_n``:
 * ``TR_MRC`` and ``LOW_SNR``: the diagonally-unbiased matched filter
   ``A^H y / diag(A^H A)``, independent of the noise variance.  It is the
   time-reversal MRC baseline and also the noise-dominated limit of unbiased
-  MMSE, so both kinds run the one kernel.
+  MMSE, so both kinds run the same code.
 * ``HIGH_SNR_ZF``: the zero-forcing limit.
 
 Each estimator is one private kernel over a stack of bins.  ``detect_frame``
@@ -22,14 +22,18 @@ goes through one guard that names the first bin whose gain vanishes.  The
 MRC-MMSE kernel also returns its per-bin regularized Gram inverses and
 per-user unbiasing coefficients so the downlink precoder can reuse both.
 
-``detect_frame`` runs MRC-MMSE and ZF in chunks of bins at two levels: the
-K x K inverse on chunks sized by the (n, K, K) stack, since ``invert_hpd``
-costs a fixed amount per call, each forming its ``A^H A`` and ``A^H y`` in
-smaller chunks sized by ``A``.  At 64 x 14 x 2048 that is 7 chunks of about
-290 bins, in 4 sub-chunks each; at 128 x 16 x 512, 2 inverse calls where
-chunks sized by ``A`` alone made 19.  TR-MRC and low-SNR use the latter.
-The M x M MMSE kernel runs on chunks sized by its (n, M, M) covariance
-stack: 18 chunks of 14 or 15 bins at 64 x 14 x 256.
+Every K x K kind reads only ``A^H A``, ``A^H y`` and the noise variance.
+``detect_frame`` runs them in chunks of bins at two levels: the K x K work
+on chunks sized by the (n, K, K) stack, since ``invert_hpd`` costs a fixed
+amount per call, each forming its ``A^H A`` and ``A^H y`` in smaller chunks
+sized by ``A``.  At 64 x 14 x 2048 that is 7 chunks of about 290 bins, in 4
+sub-chunks each; at 128 x 16 x 512, 2 inverse calls where chunks sized by
+``A`` alone made 19.  A caller running several K x K kinds on one frame
+forms the two statistics once with ``_match_frame`` and passes them to
+``detect_frame`` in place of the received frame, which then slices them by
+the same chunks: the Monte-Carlo sweep reads ``A`` once per frame, not once
+per kind.  The M x M MMSE kernel runs on chunks sized by its (n, M, M)
+covariance stack: 18 chunks of 14 or 15 bins at 64 x 14 x 256.
 """
 
 from __future__ import annotations
@@ -178,7 +182,9 @@ def _mmse(a: np.ndarray, y: np.ndarray, sigma_w2: float) -> np.ndarray:
 def _gram_and_matched(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``A_n^H A_n`` (N, K, K) and ``A_n^H y_n`` (N, K) for every bin of ``a`` and ``y``.
 
-    Formed in chunks sized by ``a``, which the products read.
+    Formed in chunks sized by ``a``, which the products read.  A Gram matrix
+    that is not finite raises ``ValueError`` naming its bin and whether a
+    channel entry is not finite or the finite entries overflow ``A^H A``.
     """
     n_bins, _, k_usr = a.shape
     gram = np.empty((n_bins, k_usr, k_usr), dtype=np.complex128)
@@ -186,11 +192,55 @@ def _gram_and_matched(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     def run(lo: int, hi: int) -> None:
         a_h = a[lo:hi].conj().transpose(0, 2, 1)  # (n, K, M)
-        gram[lo:hi] = np.matmul(a_h, a[lo:hi])
+        # The check below reports a non-finite Gram, so NumPy need not warn.
+        with np.errstate(invalid="ignore", over="ignore"):
+            gram[lo:hi] = np.matmul(a_h, a[lo:hi])
+        # Only the diagonal, the column powers, needs checking: a non-finite
+        # entry of A makes its column's power non-finite, and finite powers
+        # bound the rest, |G_ij| <= sqrt(G_ii G_jj).
+        power = gram[lo:hi].diagonal(axis1=1, axis2=2)
+        if not np.isfinite(power).all():
+            n = lo + np.flatnonzero(~np.isfinite(power).all(axis=1))[0]
+            if np.isfinite(a[n]).all():
+                raise ValueError(f"bin {n}: the channel's A^H A overflows")
+            raise ValueError(f"bin {n}: channel entries must be finite")
         matched[lo:hi] = _matched(a_h, y[lo:hi])
 
     _split(n_bins, run, a.size + y.size)
     return gram, matched
+
+
+@dataclass(frozen=True)
+class _Matched:
+    """A frame's ``A_n^H A_n`` (N, K, K) and ``A_n^H y_n`` (N, K), from :func:`_match_frame`.
+
+    Every K x K detector is a function of these and the noise variance, so a
+    caller running several K x K kinds on one frame forms them once and
+    hands them to :func:`detect_frame` in place of the received frame.
+    """
+
+    gram: np.ndarray
+    matched: np.ndarray
+
+
+def _received(rf: ReceivedFrame, a: np.ndarray) -> np.ndarray:
+    """The samples of ``rf`` as an (N, M) stack, checked against the (N, M, K) channel ``a``."""
+    if rf.domain != FREQUENCY:
+        raise ValueError("detect_frame requires a frequency-domain frame")
+    y = np.asarray(rf.samples)
+    n_bins, m_ant, _ = a.shape
+    if y.shape != (m_ant, n_bins):
+        raise ValueError(f"frame shape {y.shape} does not match bin channels {a.shape}")
+    finite = np.isfinite(y).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"bin {np.flatnonzero(~finite)[0]}: received samples must be finite")
+    return y.T
+
+
+def _match_frame(rf: ReceivedFrame, bc: BinChannel) -> _Matched:
+    """The statistics every K x K detector reads from the received frame ``rf``."""
+    a = np.asarray(bc.a)
+    return _Matched(*_gram_and_matched(a, _received(rf, a)))
 
 
 def _mrc_mmse(gram, matched, sigma_w2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,16 +255,6 @@ def _mrc_mmse(gram, matched, sigma_w2: float) -> tuple[np.ndarray, np.ndarray, n
     unbias = _unbias(diag_of_product(inverses, gram).real)
     est = unbias * np.matmul(inverses, matched[:, :, np.newaxis])[..., 0]
     return est, inverses, unbias
-
-
-def _low_snr(a, a_h, matched) -> np.ndarray:
-    """TR-MRC, which is also the noise-dominated limit: ``inv(diag(A^H A)) A^H y``.
-
-    TR-MRC's ``(1/M) A^H y`` scaled per user by ``M / diag(A^H A)`` is the
-    same estimator; the diagonal unbias splits its error cleanly into
-    interference plus noise.
-    """
-    return _unbias(diag_of_product(a_h, a).real) * matched
 
 
 def _zf(gram, matched) -> np.ndarray:
@@ -286,12 +326,15 @@ def mrcmmse_bin(a_n, r_n, sigma_w2: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def detect_frame(
-    rf: ReceivedFrame, bc: BinChannel, sigma_w2: float, kind: DetectorKind
+    rf: ReceivedFrame | _Matched, bc: BinChannel, sigma_w2: float, kind: DetectorKind
 ) -> DetectionResult:
     """Run one detector over all N bins and return time-domain estimates.
 
-    The received frame must already be in the frequency domain.  Bins are
-    processed independently; ``TR_MRC`` and ``LOW_SNR`` run the same kernel.
+    ``rf`` is the received frame, in the frequency domain.  For the K x K
+    kinds it may instead be the frame's statistics from
+    :func:`_match_frame`, which a caller running several of them on one
+    frame forms once; the results are the same bytes.  Bins are processed
+    independently; ``TR_MRC`` and ``LOW_SNR`` are the same estimator.
     For ``DetectorKind.MRC_MMSE`` the per-bin K x K inverses and unbiasing
     coefficients are collected into an :class:`InverseCache` on the result.
     A singular bin raises :class:`~fdmud.numerics.SingularMatrixError`, a
@@ -299,24 +342,32 @@ def detect_frame(
     and a non-finite received sample or channel entry ``ValueError``, each
     naming the first offending bin.
     """
-    if rf.domain != FREQUENCY:
-        raise ValueError("detect_frame requires a frequency-domain frame")
+    if not isinstance(kind, DetectorKind):
+        raise ValueError(f"unknown detector kind: {kind!r}")
     a = np.asarray(bc.a)
-    y = np.asarray(rf.samples)
-    n_bins, m_ant, k_usr = a.shape
-    if y.shape != (m_ant, n_bins):
-        raise ValueError(f"frame shape {y.shape} does not match bin channels {a.shape}")
-    finite = np.isfinite(y).all(axis=0)
-    if not finite.all():
-        raise ValueError(f"bin {np.flatnonzero(~finite)[0]}: received samples must be finite")
-    y = y.T  # (N, M)
+    n_bins, _, k_usr = a.shape
+    if isinstance(rf, _Matched):
+        if kind is DetectorKind.MMSE:
+            raise ValueError("the MMSE detector needs the received frame, not its statistics")
+        if rf.gram.shape != (n_bins, k_usr, k_usr) or rf.matched.shape != (n_bins, k_usr):
+            raise ValueError(
+                f"statistics shapes {rf.gram.shape} and {rf.matched.shape} "
+                f"do not match bin channels {a.shape}"
+            )
 
+        def stats(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            return rf.gram[lo:hi], rf.matched[lo:hi]
+
+    else:
+        y = _received(rf, a)
+
+        def stats(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            return _gram_and_matched(a[lo:hi], y[lo:hi])
+
+    cache = None
     if kind is DetectorKind.MMSE:
         est = _mmse(a, y, sigma_w2)
-        cache = None
     else:
-        if not isinstance(kind, DetectorKind):
-            raise ValueError(f"unknown detector kind: {kind!r}")
         est = np.empty((n_bins, k_usr), dtype=np.complex128)
         if kind is DetectorKind.MRC_MMSE:
             cache = InverseCache(
@@ -324,28 +375,21 @@ def detect_frame(
                 sigma_w2=float(sigma_w2),
                 unbias=np.empty((n_bins, k_usr)),
             )
-        else:
-            cache = None
 
-        if kind in (DetectorKind.MRC_MMSE, DetectorKind.HIGH_SNR_ZF):
+        def run(lo: int, hi: int) -> None:
+            gram, matched = stats(lo, hi)
+            if cache is not None:
+                est[lo:hi], cache.inv[lo:hi], cache.unbias[lo:hi] = _mrc_mmse(
+                    gram, matched, sigma_w2
+                )
+            elif kind is DetectorKind.HIGH_SNR_ZF:
+                est[lo:hi] = _zf(gram, matched)
+            else:
+                # TR-MRC, ``(1/M) A^H y`` scaled per user by ``M / diag(A^H A)``,
+                # which is also the noise-dominated limit of unbiased MMSE.
+                est[lo:hi] = _unbias(np.diagonal(gram, axis1=1, axis2=2).real) * matched
 
-            def run(lo: int, hi: int) -> None:
-                gram, matched = _gram_and_matched(a[lo:hi], y[lo:hi])
-                if cache is not None:
-                    est[lo:hi], cache.inv[lo:hi], cache.unbias[lo:hi] = _mrc_mmse(
-                        gram, matched, sigma_w2
-                    )
-                else:
-                    est[lo:hi] = _zf(gram, matched)
-
-            _split(n_bins, run, n_bins * k_usr * k_usr)
-        else:
-
-            def run(lo: int, hi: int) -> None:
-                a_h = a[lo:hi].conj().transpose(0, 2, 1)  # (n, K, M)
-                est[lo:hi] = _low_snr(a[lo:hi], a_h, _matched(a_h, y[lo:hi]))
-
-            _split(n_bins, run, a.size + y.size)
+        _split(n_bins, run, n_bins * k_usr * k_usr)
 
     s_hat_time = np.fft.ifft(est.T, axis=1, norm="ortho")
     return DetectionResult(s_hat_time=s_hat_time, kind=kind, cache=cache)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelConfig, draw_channel, to_bin_channels
-from .detect import DetectionResult, DetectorKind, detect_frame
+from .detect import DetectionResult, DetectorKind, _match_frame, detect_frame
 from .frame import FrameConfig, SymbolFrame, _check_cp, generate_symbols, transmit_bins
 
 # Unused here, but benchmarks/workloads.py wraps both on this module.
@@ -301,19 +301,30 @@ def _run_frame(cfg: ScenarioConfig, fc: FrameConfig, p_idx: int, f_idx: int) -> 
     """Per-user SINR of each detector on one frame, ``None`` where it failed.
 
     A function of its own so that a frame's channel, bins and received
-    samples are freed before the next frame draws its own.
+    samples are freed before the next frame draws its own; the channel taps
+    go as soon as the bins are formed.  Every ``K x K`` kind reads the same
+    ``A^H A`` and ``A^H y``, so they are formed once per frame.  Each kind
+    still makes its own ``detect_frame`` call, and so fails on its own.
     """
     seed = cfg.channel.seed
-    realization = draw_channel(replace(cfg.channel, seed=_stream_seed(seed, p_idx, f_idx, 0)))
-    bins = to_bin_channels(realization)
+    bins = to_bin_channels(
+        draw_channel(replace(cfg.channel, seed=_stream_seed(seed, p_idx, f_idx, 0)))
+    )
     sym_rng = np.random.default_rng([seed, p_idx, f_idx, 1])
     noise_rng = np.random.default_rng([seed, p_idx, f_idx, 2])
     sf = generate_symbols(cfg.channel.num_users, fc.frame_len, fc.constellation, sym_rng)
     rf = transmit_bins(sf, bins, fc, noise_rng)
+    k_by_k = any(kind is not DetectorKind.MMSE for kind in cfg.detectors)
+    matched = _match_frame(rf, bins) if k_by_k else None
+    if DetectorKind.MMSE not in cfg.detectors:
+        rf = None  # only the M x M reference reads the samples themselves
     sinr = {}
     for kind in cfg.detectors:
         try:
-            sinr[kind] = measure_sinr(detect_frame(rf, bins, fc.sigma_w2, kind), sf)
+            result = detect_frame(
+                rf if kind is DetectorKind.MMSE else matched, bins, fc.sigma_w2, kind
+            )
+            sinr[kind] = measure_sinr(result, sf)
         except (SingularMatrixError, DegenerateScaleError):
             sinr[kind] = None
     return sinr
@@ -324,7 +335,8 @@ def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
 
     Per sweep point and frame: draw a fresh channel, generate symbols,
     build the received bins ``A_n s_n + w_n`` with ``transmit_bins``, and run
-    each requested detector on the same received frame.  All randomness is
+    each requested detector on the same received frame, the ``K x K`` ones
+    on its ``A^H A`` and ``A^H y``, formed once.  All randomness is
     keyed by (seed, point index, frame index), so identical configs produce
     byte-identical CSV output under one ``RNG_LAYOUT``, regardless of
     execution order.  Frames on which a detector fails (a singular bin, or a

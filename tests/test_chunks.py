@@ -9,7 +9,7 @@ import pytest
 
 from fdmud import detect, harness, numerics, precode
 from fdmud.channel import BinChannel, ChannelConfig, draw_channel, to_bin_channels
-from fdmud.detect import DetectorKind, detect_frame
+from fdmud.detect import DetectorKind, _match_frame, detect_frame
 from fdmud.frame import (
     FrameConfig,
     ReceivedFrame,
@@ -144,6 +144,29 @@ def test_k_by_k_stages_do_not_depend_on_chunks(split, rng, chunk_log, min_chunk)
         # MRC-MMSE and ZF form A^H A and A^H y; the precoder forms A^T A^*,
         # then steers each half through A.
         assert chunk_log == halves + [(200, [100, 100])] + [(100, [50, 50])] * 4 + halves
+
+
+@pytest.mark.parametrize(
+    "min_chunk", [None, TWO_LEVEL_MIN, 1], ids=["default", "two-level", "one-bin"]
+)
+def test_statistics_give_the_bytes_of_the_received_frame(split, rng, min_chunk):
+    if min_chunk is not None:
+        split(min_chunk)
+    bins = BinChannel(a=crandn(rng, 200, 32, 14))
+    rf = ReceivedFrame(samples=crandn(rng, 32, 200), domain="frequency")
+    matched = _match_frame(rf, bins)
+    for kind in (
+        DetectorKind.MRC_MMSE,
+        DetectorKind.TR_MRC,
+        DetectorKind.LOW_SNR,
+        DetectorKind.HIGH_SNR_ZF,
+    ):
+        expected = detect_frame(rf, bins, 0.1, kind)
+        result = detect_frame(matched, bins, 0.1, kind)
+        assert np.array_equal(result.s_hat_time, expected.s_hat_time), kind
+        if kind is DetectorKind.MRC_MMSE:
+            assert np.array_equal(result.cache.inv, expected.cache.inv)
+            assert np.array_equal(result.cache.unbias, expected.cache.unbias)
 
 
 class TestTwoLevelErrorsNameTheGlobalBin:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdmud.channel import ChannelConfig, draw_channel, to_bin_channels
+from fdmud.channel import BinChannel, ChannelConfig, draw_channel, to_bin_channels
 from fdmud.detect import (
     DetectorKind,
     InverseCache,
+    _match_frame,
+    _Matched,
     _unbias,
     detect_frame,
     mmse_bin,
@@ -40,6 +42,14 @@ def per_bin_oracle(kind, a, y, sigma_w2):
         w = np.linalg.solve(a @ a.conj().T + sigma_w2 * np.eye(a.shape[0]), a)
         return (w.conj().T @ y) / np.diag(w.conj().T @ a).real
     return matched / np.diag(gram).real  # TR-MRC and low-SNR: diagonally unbiased
+
+
+K_BY_K = [
+    DetectorKind.MRC_MMSE,
+    DetectorKind.TR_MRC,
+    DetectorKind.LOW_SNR,
+    DetectorKind.HIGH_SNR_ZF,
+]
 
 
 def small_scenario(seed=0, frame_len=16, m_ant=4, k_usr=2, l_h=3, snr_db=3.0):
@@ -366,6 +376,41 @@ class TestDetectFrame:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"^bin 5: ") as info:
             detect_frame(rf, BinChannel(a=a), 0.1, kind)
         assert not isinstance(info.value, DegenerateScaleError)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("statistics", [False, True], ids=["frame", "statistics"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", K_BY_K)
+    def test_non_finite_channel_named_as_the_channel(self, rng, kind, value, statistics):
+        a = crandn(rng, 32, 8, 3)
+        a[5, 2, 1] = value
+        bins = BinChannel(a=a)
+        rf = ReceivedFrame(samples=crandn(rng, 8, 32), domain="frequency")
+        with pytest.raises(ValueError, match=r"^bin 5: channel entries must be finite$"):
+            detect_frame(_match_frame(rf, bins) if statistics else rf, bins, 0.1, kind)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("statistics", [False, True], ids=["frame", "statistics"])
+    @pytest.mark.parametrize("kind", K_BY_K)
+    def test_finite_channel_whose_gram_overflows(self, rng, kind, statistics):
+        a = crandn(rng, 32, 8, 3)
+        a[5] *= 1e160  # finite entries; their squares are not
+        bins = BinChannel(a=a)
+        rf = ReceivedFrame(samples=crandn(rng, 8, 32), domain="frequency")
+        with pytest.raises(ValueError, match=r"^bin 5: the channel's A\^H A overflows$"):
+            detect_frame(_match_frame(rf, bins) if statistics else rf, bins, 0.1, kind)
+
+    def test_statistics_checked_against_the_channel(self, rng):
+        bins = BinChannel(a=crandn(rng, 8, 4, 2))
+        rf = ReceivedFrame(samples=crandn(rng, 4, 8), domain="frequency")
+        matched = _match_frame(rf, bins)
+        with pytest.raises(ValueError, match="do not match bin channels"):
+            detect_frame(matched, BinChannel(a=bins.a[:7]), 0.1, DetectorKind.MRC_MMSE)
+        short = _Matched(gram=matched.gram, matched=matched.matched[:7])
+        with pytest.raises(ValueError, match="do not match bin channels"):
+            detect_frame(short, bins, 0.1, DetectorKind.TR_MRC)
+        with pytest.raises(ValueError, match="needs the received frame"):
+            detect_frame(matched, bins, 0.1, DetectorKind.MMSE)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_gain_named_apart_from_a_vanishing_one(self, value):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fdmud import harness, numerics
+from fdmud import detect, harness, numerics
 from fdmud.channel import BinChannel, ChannelConfig
 from fdmud.detect import DetectionResult, DetectorKind
 from fdmud.frame import FrameConfig, SymbolFrame
@@ -271,6 +271,43 @@ class TestRunMonteCarlo:
         for row in report.rows:
             assert (row.n_frames, row.n_failures) == (0, 3)
         assert not [w for w in recwarn if "SINR" in str(w.message)]
+
+    def test_gram_formed_once_per_frame(self, monkeypatch):
+        formed = []
+        original = detect._gram_and_matched
+
+        def spy(a, y):
+            formed.append(len(a))
+            return original(a, y)
+
+        monkeypatch.setattr(detect, "_gram_and_matched", spy)
+        report = run_monte_carlo(tiny_scenario(detectors=tuple(DetectorKind)))
+        assert all(row.n_failures == 0 for row in report.rows)
+        # 2 sweep points x 3 frames of 32 bins, each bin formed once for all
+        # four K x K kinds
+        assert sum(formed) == 6 * 32
+
+    def test_equal_columns_fail_only_zero_forcing(self, monkeypatch):
+        # Two all-ones columns at bin 3 give the exactly singular Gram
+        # 4 * ones((2, 2)); adding sigma_w2 I or taking its diagonal is fine.
+        original = harness.to_bin_channels
+
+        def equal_columns(realization):
+            a = original(realization).a.copy()
+            a[3] = 1.0
+            return BinChannel(a=a)
+
+        monkeypatch.setattr(harness, "to_bin_channels", equal_columns)
+        kinds = (DetectorKind.MRC_MMSE, DetectorKind.TR_MRC, DetectorKind.HIGH_SNR_ZF)
+        report = run_monte_carlo(
+            tiny_scenario(detectors=kinds, snr_sweep_db=(0.0,), frames_per_point=1)
+        )
+        counts = {row.detector: (row.n_frames, row.n_failures) for row in report.rows}
+        assert counts == {
+            DetectorKind.MRC_MMSE: (1, 0),
+            DetectorKind.TR_MRC: (1, 0),
+            DetectorKind.HIGH_SNR_ZF: (0, 1),
+        }
 
     def test_mmse_and_mrcmmse_rows_indistinguishable(self):
         cfg = tiny_scenario(detectors=(DetectorKind.MMSE, DetectorKind.MRC_MMSE))
