@@ -21,6 +21,10 @@ solve of the M x M MMSE kernel loops over bins.  Every unbiasing reciprocal
 goes through one guard that names the first bin whose gain vanishes.  The
 MRC-MMSE kernel also returns its per-bin regularized Gram inverses and
 per-user unbiasing coefficients so the downlink precoder can reuse both.
+``detect_frame`` collects them into an ``InverseCache`` only when it detects
+from the received frame, the TDD path that precodes next; from the shared
+statistics below, which only the Monte-Carlo sweep passes, it returns no
+cache, and the sweep holds no (N, K, K) inverse stack per frame.
 
 Every K x K kind reads only ``A^H A``, ``A^H y`` and the noise variance.
 ``detect_frame`` runs them in chunks of bins at two levels: the K x K work
@@ -262,6 +266,13 @@ def _zf(gram, matched) -> np.ndarray:
     return np.matmul(invert_hpd(gram), matched[:, :, np.newaxis])[..., 0]
 
 
+def _check_finite(**arrays: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first of ``arrays`` with a non-finite entry."""
+    for name, x in arrays.items():
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must have finite entries")
+
+
 def _check_bin_args(a_n, y_n, tall: bool = False):
     a_n = np.asarray(a_n)
     y_n = np.asarray(y_n)
@@ -271,6 +282,7 @@ def _check_bin_args(a_n, y_n, tall: bool = False):
         raise ValueError(f"y_n shape {y_n.shape} does not match a_n shape {a_n.shape}")
     if tall and a_n.shape[0] < a_n.shape[1]:
         raise ValueError(f"a_n must have at least as many rows as columns, got {a_n.shape}")
+    _check_finite(a_n=a_n, y_n=y_n)
     return a_n, y_n
 
 
@@ -318,6 +330,7 @@ def mrcmmse_bin(a_n, r_n, sigma_w2: float) -> tuple[np.ndarray, np.ndarray]:
     r_n = np.asarray(r_n)
     if a_n.ndim != 2 or r_n.shape != (a_n.shape[1],):
         raise ValueError(f"r_n shape {r_n.shape} does not match a_n shape {a_n.shape}")
+    _check_finite(a_n=a_n, r_n=r_n)
     a = a_n[np.newaxis]
     gram = np.matmul(a.conj().transpose(0, 2, 1), a)
     matched = (a_n.shape[0] * r_n)[np.newaxis]
@@ -335,8 +348,11 @@ def detect_frame(
     :func:`_match_frame`, which a caller running several of them on one
     frame forms once; the results are the same bytes.  Bins are processed
     independently; ``TR_MRC`` and ``LOW_SNR`` are the same estimator.
-    For ``DetectorKind.MRC_MMSE`` the per-bin K x K inverses and unbiasing
-    coefficients are collected into an :class:`InverseCache` on the result.
+    For ``DetectorKind.MRC_MMSE`` from the received frame, the per-bin
+    K x K inverses and unbiasing coefficients are collected into an
+    :class:`InverseCache` on the result, for the downlink precoder.  From
+    the statistics the estimates are the same bytes but ``cache`` is
+    ``None``: the cache comes with detection from the received frame.
     A singular bin raises :class:`~fdmud.numerics.SingularMatrixError`, a
     zero-power channel column :class:`~fdmud.numerics.DegenerateScaleError`
     and a non-finite received sample or channel entry ``ValueError``, each
@@ -369,7 +385,10 @@ def detect_frame(
         est = _mmse(a, y, sigma_w2)
     else:
         est = np.empty((n_bins, k_usr), dtype=np.complex128)
-        if kind is DetectorKind.MRC_MMSE:
+        # Only detection from the received frame keeps MRC-MMSE's inverses:
+        # that is the TDD path, which precodes with them.  Held for a whole
+        # frame they are an (N, K, K) stack, as large as A^H A itself.
+        if kind is DetectorKind.MRC_MMSE and not isinstance(rf, _Matched):
             cache = InverseCache(
                 inv=np.empty((n_bins, k_usr, k_usr), dtype=np.complex128),
                 sigma_w2=float(sigma_w2),
@@ -378,10 +397,10 @@ def detect_frame(
 
         def run(lo: int, hi: int) -> None:
             gram, matched = stats(lo, hi)
-            if cache is not None:
-                est[lo:hi], cache.inv[lo:hi], cache.unbias[lo:hi] = _mrc_mmse(
-                    gram, matched, sigma_w2
-                )
+            if kind is DetectorKind.MRC_MMSE:
+                est[lo:hi], inverses, unbias = _mrc_mmse(gram, matched, sigma_w2)
+                if cache is not None:
+                    cache.inv[lo:hi], cache.unbias[lo:hi] = inverses, unbias
             elif kind is DetectorKind.HIGH_SNR_ZF:
                 est[lo:hi] = _zf(gram, matched)
             else:

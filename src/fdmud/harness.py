@@ -100,9 +100,13 @@ def measure_sinr(result: DetectionResult, truth: SymbolFrame) -> np.ndarray:
     error power gets an ``inf`` sentinel and a warning; callers exclude such
     values from dB averaging.
     """
-    err = np.asarray(result.s_hat_time) - np.asarray(truth.symbols)
-    if err.ndim != 2:
-        raise ValueError("estimate/truth shape mismatch")
+    s_hat = np.asarray(result.s_hat_time)
+    symbols = np.asarray(truth.symbols)
+    if symbols.ndim != 2:
+        raise ValueError(f"truth symbols must be K x N, got shape {symbols.shape}")
+    if s_hat.shape != symbols.shape:
+        raise ValueError(f"estimate shape {s_hat.shape} does not match truth shape {symbols.shape}")
+    err = s_hat - symbols
     err_power = np.mean(np.abs(err) ** 2, axis=1)
     if np.any(err_power == 0):
         warnings.warn("zero error power: reporting inf SINR sentinel", stacklevel=2)

@@ -164,9 +164,10 @@ def test_statistics_give_the_bytes_of_the_received_frame(split, rng, min_chunk):
         expected = detect_frame(rf, bins, 0.1, kind)
         result = detect_frame(matched, bins, 0.1, kind)
         assert np.array_equal(result.s_hat_time, expected.s_hat_time), kind
-        if kind is DetectorKind.MRC_MMSE:
-            assert np.array_equal(result.cache.inv, expected.cache.inv)
-            assert np.array_equal(result.cache.unbias, expected.cache.unbias)
+        # The inverse cache comes with detection from the received frame,
+        # the path that precodes; the statistics serve the sweep, which does not.
+        assert result.cache is None, kind
+        assert (expected.cache is not None) == (kind is DetectorKind.MRC_MMSE), kind
 
 
 class TestTwoLevelErrorsNameTheGlobalBin:

@@ -169,6 +169,29 @@ class TestMrcMmseBin:
             mrcmmse_bin(a, mrc_bin(a, crandn(rng, 4)), 0.0)
 
 
+# Each single-bin entry point with the name of its second argument.
+BIN_CALLS = {
+    "mmse_bin": (lambda a_n, v: mmse_bin(a_n, v, 0.1), "y_n"),
+    "mrc_bin": (mrc_bin, "y_n"),
+    "mrcmmse_bin": (lambda a_n, v: mrcmmse_bin(a_n, v, 0.1), "r_n"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "name, arg",
+    [(name, arg) for name, (_, second) in BIN_CALLS.items() for arg in ("a_n", second)],
+)
+def test_single_bin_non_finite_input_named(rng, name, arg, value):
+    call, second = BIN_CALLS[name]
+    a_n = crandn(rng, 6, 3)
+    v = crandn(rng, 3 if second == "r_n" else 6)
+    (a_n if arg == "a_n" else v)[1] = value
+    with pytest.raises(ValueError, match=rf"^{arg} must have finite entries$"):
+        call(a_n, v)
+
+
 class TestLowSnrBin:
     """``LOW_SNR`` (the TR-MRC kernel) on one bin."""
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -113,6 +114,15 @@ class TestMeasureSinr:
         err = np.sqrt(0.1 / 2) * (rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n)))
         sinr = measure_sinr(self._result(truth.symbols + err), truth)
         assert sinr[0] == pytest.approx(10.0, rel=0.05)
+
+    @pytest.mark.parametrize("shape", [(1, 16), (4, 1), (16, 4)])
+    def test_estimate_of_another_shape_rejected(self, shape):
+        # (1, N) and (K, 1) would broadcast against the (K, N) truth
+        truth = SymbolFrame(symbols=np.zeros((4, 16), dtype=complex))
+        estimate = np.full(shape, 0.1 + 0j)
+        message = f"estimate shape {shape} does not match truth shape (4, 16)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            measure_sinr(self._result(estimate), truth)
 
     def test_single_user_flat_channel_hits_array_gain_bound(self):
         # matched-filter bound: measured SINR ~= M / sigma_w2 within 0.5 dB
@@ -286,6 +296,22 @@ class TestRunMonteCarlo:
         # 2 sweep points x 3 frames of 32 bins, each bin formed once for all
         # four K x K kinds
         assert sum(formed) == 6 * 32
+
+    def test_builds_no_inverse_cache(self, monkeypatch):
+        # The sweep never precodes, so MRC-MMSE keeps no (N, K, K) inverses.
+        built = []
+        original = detect.InverseCache
+
+        def spy(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(detect, "InverseCache", spy)
+        cfg = tiny_scenario()
+        assert DetectorKind.MRC_MMSE in cfg.detectors
+        report = run_monte_carlo(cfg)
+        assert all(row.n_frames == 3 for row in report.rows)
+        assert built == []
 
     def test_equal_columns_fail_only_zero_forcing(self, monkeypatch):
         # Two all-ones columns at bin 3 give the exactly singular Gram
