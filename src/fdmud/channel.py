@@ -11,6 +11,12 @@ One generator, seeded with the config's seed, makes each draw: first every
 tap of every antenna/user pair, then every pair's power.  Identical configs
 reproduce bit-identical realizations; the Monte-Carlo runner keeps frames
 order-independent by deriving each frame's seed from (seed, point, frame).
+
+Because the cyclic prefix makes every channel circulant, bin n's Gram
+``A_n^H A_n`` is the DFT of the channel's K x K autocorrelation, which has
+only ``2L - 1`` lags.  ``_bin_grams`` forms all N of them from the taps that
+way, so the Monte-Carlo sweep never builds the (N, M, K) stack ``A`` that
+``to_bin_channels`` returns: at 256 x 16 x 4096 that stack alone is 268 MB.
 """
 
 from __future__ import annotations
@@ -144,3 +150,82 @@ def to_bin_channels(realization: ChannelRealization) -> BinChannel:
     # each tap row zero-padded to n.
     _split(m_ant, run, a.size)
     return BinChannel(a=a)
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest FFT length ``>= target >= 1`` with no prime factor above 11.
+
+    These are the lengths pocketfft transforms fastest, and the one
+    ``scipy.fft.next_fast_len`` returns for complex input.
+    """
+    n = target
+    while True:
+        rest = n
+        for prime in (2, 3, 5, 7, 11):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _tap_spectra(taps: np.ndarray) -> np.ndarray:
+    """The conjugated DFTs of the impulse responses at ``P = _next_fast_len(2L - 1)`` points.
+
+    Laid out (P, K, M), so entry p is the K x M matrix ``A^H`` of the
+    channel at the p-th of P bins.  At ``P >= 2L - 1`` points the products of
+    two spectra hold the ``2L - 1`` lags of a correlation of the taps without
+    wrapping; both tap-domain statistics start from here.
+    """
+    m_ant, k_usr, length = taps.shape
+    spectra = np.zeros((_next_fast_len(2 * length - 1), k_usr, m_ant), dtype=np.complex128)
+    spectra[:length] = taps.transpose(2, 1, 0)
+    np.fft.fft(spectra, axis=0, out=spectra)
+    return np.conjugate(spectra, out=spectra)
+
+
+def _check_power(power: np.ndarray, channel_finite) -> None:
+    """Raise ``ValueError`` naming the first bin of ``power`` (N, K) that is not finite.
+
+    ``power`` holds each bin's column powers, the diagonal of ``A^H A``.
+    Only they need checking: a non-finite channel entry makes its column's
+    power non-finite, and finite powers bound the rest of the Gram,
+    ``|G_ij| <= sqrt(G_ii G_jj)``.  ``channel_finite(n)`` tells whether bin
+    n's channel entries are finite, which tells the two faults apart.
+    """
+    finite = np.isfinite(power).all(axis=1)
+    if not finite.all():
+        n = np.flatnonzero(~finite)[0]
+        if channel_finite(n):
+            raise ValueError(f"bin {n}: the channel's A^H A overflows")
+        raise ValueError(f"bin {n}: channel entries must be finite")
+
+
+def _bin_grams(realization: ChannelRealization) -> np.ndarray:
+    """``A_n^H A_n`` (N, K, K) for every bin of ``to_bin_channels(realization)``, without ``A``.
+
+    With ``R(d) = sum_m sum_l conj(h[m, :, l])^T h[m, :, l + d]`` the K x K
+    autocorrelation of the taps at lag ``d``, ``A_n^H A_n`` is
+    ``sum_d R(d) exp(-2j pi n d / N)``.  The ``2L - 1`` lags come from one
+    stacked K x K Gram of :func:`_tap_spectra` and an inverse FFT; they are
+    folded modulo N, which matters when ``2L - 1 > N``, and one FFT takes
+    them to the N bins.  The result agrees with ``A^H A`` to rounding, not
+    bytes.  A Gram that is not finite raises ``ValueError`` naming its bin
+    (see :func:`_check_power`).
+    """
+    n = realization.config.frame_len
+    taps = realization.taps
+    _, k_usr, length = taps.shape
+    # The check below reports a non-finite Gram, so NumPy need not warn.
+    with np.errstate(invalid="ignore", over="ignore"):
+        spectra = _tap_spectra(taps)
+        lags = np.fft.ifft(np.matmul(spectra, spectra.conj().transpose(0, 2, 1)), axis=0)
+        # Lags 0 .. L - 1 come first in ``lags``, lags 1 - L .. -1 last.
+        gram = np.zeros((n, k_usr, k_usr), dtype=np.complex128)
+        gram[:length] = lags[:length]
+        gram[np.arange(1 - length, 0) % n] += lags[len(lags) + 1 - length :]
+        np.fft.fft(gram, axis=0, out=gram)
+    # A non-finite tap reaches every bin, so a bin's channel is finite
+    # exactly when all the taps are.
+    _check_power(gram.diagonal(axis1=1, axis2=2), lambda _: np.isfinite(taps).all())
+    return gram

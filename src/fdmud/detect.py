@@ -33,11 +33,15 @@ amount per call, each forming its ``A^H A`` and ``A^H y`` in smaller chunks
 sized by ``A``.  At 64 x 14 x 2048 that is 7 chunks of about 290 bins, in 4
 sub-chunks each; at 128 x 16 x 512, 2 inverse calls where chunks sized by
 ``A`` alone made 19.  A caller running several K x K kinds on one frame
-forms the two statistics once with ``_match_frame`` and passes them to
+forms the two statistics once, as a ``_Matched``, and passes them to
 ``detect_frame`` in place of the received frame, which then slices them by
-the same chunks: the Monte-Carlo sweep reads ``A`` once per frame, not once
-per kind.  The M x M MMSE kernel runs on chunks sized by its (n, M, M)
-covariance stack: 18 chunks of 14 or 15 bins at 64 x 14 x 256.
+the same chunks.  The Monte-Carlo sweep forms them from the channel taps
+without building ``A`` at all, and passes a shape-only ``BinChannel``
+whose ``a`` the statistics path never reads.  The M x M MMSE kernel runs
+on chunks sized by its (n, M, M) covariance stack: 18 chunks of 14 or 15
+bins at 64 x 14 x 256.  Every kernel that reads ``A`` rejects a channel
+whose ``A^H A`` is not finite, naming the bin and whether an entry is not
+finite or the finite entries overflow.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import BinChannel
+from .channel import BinChannel, _check_power
 from .frame import FREQUENCY, ReceivedFrame
 from .numerics import (
     DegenerateScaleError,
@@ -174,6 +178,11 @@ def _mmse(a: np.ndarray, y: np.ndarray, sigma_w2: float) -> np.ndarray:
     # crosscheck benchmark op 13% slower, though its peak RSS was 21% lower.
     def run(lo: int, hi: int) -> None:
         a_c = a[lo:hi]
+        # Named as the K x K kinds name it: left to the solve, a channel
+        # whose A^H A overflows fails it in several ways, or not at all.
+        with np.errstate(invalid="ignore", over="ignore"):
+            power = np.square(np.abs(a_c)).sum(axis=1)
+        _check_power(power, lambda n: np.isfinite(a_c[n]).all())
         solved = solve_hpd(a_c, sigma_w2, np.concatenate([a_c, y[lo:hi, :, np.newaxis]], axis=2))
         b_h = solved[..., :k_usr].conj().transpose(0, 2, 1)  # (n, K, M)
         gain[lo:hi] = diag_of_product(b_h, solved[..., :k_usr]).real
@@ -183,12 +192,25 @@ def _mmse(a: np.ndarray, y: np.ndarray, sigma_w2: float) -> np.ndarray:
     return _unbias(gain) * raw
 
 
+def _gram(a: np.ndarray, a_h: np.ndarray) -> np.ndarray:
+    """``A_n^H A_n`` for every bin of ``a`` (N, M, K), given ``a_h`` (N, K, M).
+
+    A Gram that is not finite raises ``ValueError`` naming its bin and
+    whether a channel entry is not finite or the finite entries overflow.
+    """
+    # The check below reports a non-finite Gram, so NumPy need not warn.
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = np.matmul(a_h, a)
+    _check_power(gram.diagonal(axis1=1, axis2=2), lambda n: np.isfinite(a[n]).all())
+    return gram
+
+
 def _gram_and_matched(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``A_n^H A_n`` (N, K, K) and ``A_n^H y_n`` (N, K) for every bin of ``a`` and ``y``.
 
-    Formed in chunks sized by ``a``, which the products read.  A Gram matrix
-    that is not finite raises ``ValueError`` naming its bin and whether a
-    channel entry is not finite or the finite entries overflow ``A^H A``.
+    Formed in chunks sized by ``a``, which the products read, each checked
+    by :func:`_gram`; a failing chunk reruns whole, so the error names the
+    frame's bin.
     """
     n_bins, _, k_usr = a.shape
     gram = np.empty((n_bins, k_usr, k_usr), dtype=np.complex128)
@@ -196,18 +218,7 @@ def _gram_and_matched(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     def run(lo: int, hi: int) -> None:
         a_h = a[lo:hi].conj().transpose(0, 2, 1)  # (n, K, M)
-        # The check below reports a non-finite Gram, so NumPy need not warn.
-        with np.errstate(invalid="ignore", over="ignore"):
-            gram[lo:hi] = np.matmul(a_h, a[lo:hi])
-        # Only the diagonal, the column powers, needs checking: a non-finite
-        # entry of A makes its column's power non-finite, and finite powers
-        # bound the rest, |G_ij| <= sqrt(G_ii G_jj).
-        power = gram[lo:hi].diagonal(axis1=1, axis2=2)
-        if not np.isfinite(power).all():
-            n = lo + np.flatnonzero(~np.isfinite(power).all(axis=1))[0]
-            if np.isfinite(a[n]).all():
-                raise ValueError(f"bin {n}: the channel's A^H A overflows")
-            raise ValueError(f"bin {n}: channel entries must be finite")
+        gram[lo:hi] = _gram(a[lo:hi], a_h)
         matched[lo:hi] = _matched(a_h, y[lo:hi])
 
     _split(n_bins, run, a.size + y.size)
@@ -216,11 +227,14 @@ def _gram_and_matched(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class _Matched:
-    """A frame's ``A_n^H A_n`` (N, K, K) and ``A_n^H y_n`` (N, K), from :func:`_match_frame`.
+    """A frame's ``A_n^H A_n`` (N, K, K) and ``A_n^H y_n`` (N, K).
 
     Every K x K detector is a function of these and the noise variance, so a
     caller running several K x K kinds on one frame forms them once and
-    hands them to :func:`detect_frame` in place of the received frame.
+    hands them to :func:`detect_frame` in place of the received frame.  The
+    Monte-Carlo sweep forms them from the channel taps
+    (``channel._bin_grams`` and ``frame._bin_matched``), never building
+    ``A``; ``_gram_and_matched`` forms them from ``A`` and ``y``.
     """
 
     gram: np.ndarray
@@ -239,12 +253,6 @@ def _received(rf: ReceivedFrame, a: np.ndarray) -> np.ndarray:
     if not finite.all():
         raise ValueError(f"bin {np.flatnonzero(~finite)[0]}: received samples must be finite")
     return y.T
-
-
-def _match_frame(rf: ReceivedFrame, bc: BinChannel) -> _Matched:
-    """The statistics every K x K detector reads from the received frame ``rf``."""
-    a = np.asarray(bc.a)
-    return _Matched(*_gram_and_matched(a, _received(rf, a)))
 
 
 def _mrc_mmse(gram, matched, sigma_w2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -332,7 +340,7 @@ def mrcmmse_bin(a_n, r_n, sigma_w2: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"r_n shape {r_n.shape} does not match a_n shape {a_n.shape}")
     _check_finite(a_n=a_n, r_n=r_n)
     a = a_n[np.newaxis]
-    gram = np.matmul(a.conj().transpose(0, 2, 1), a)
+    gram = _gram(a, a.conj().transpose(0, 2, 1))
     matched = (a_n.shape[0] * r_n)[np.newaxis]
     est, inverses, _ = _mrc_mmse(gram, matched, sigma_w2)
     return est[0], inverses[0]
@@ -344,9 +352,10 @@ def detect_frame(
     """Run one detector over all N bins and return time-domain estimates.
 
     ``rf`` is the received frame, in the frequency domain.  For the K x K
-    kinds it may instead be the frame's statistics from
-    :func:`_match_frame`, which a caller running several of them on one
-    frame forms once; the results are the same bytes.  Bins are processed
+    kinds it may instead be the frame's statistics, a ``_Matched``, which a
+    caller running several of them on one frame forms once; statistics
+    formed by ``_gram_and_matched`` give the same bytes, and only the shape
+    of ``bc.a`` is read.  Bins are processed
     independently; ``TR_MRC`` and ``LOW_SNR`` are the same estimator.
     For ``DetectorKind.MRC_MMSE`` from the received frame, the per-bin
     K x K inverses and unbiasing coefficients are collected into an
@@ -355,8 +364,8 @@ def detect_frame(
     ``None``: the cache comes with detection from the received frame.
     A singular bin raises :class:`~fdmud.numerics.SingularMatrixError`, a
     zero-power channel column :class:`~fdmud.numerics.DegenerateScaleError`
-    and a non-finite received sample or channel entry ``ValueError``, each
-    naming the first offending bin.
+    and a non-finite received sample or channel entry, or a channel whose
+    ``A^H A`` overflows, ``ValueError``, each naming the first offending bin.
     """
     if not isinstance(kind, DetectorKind):
         raise ValueError(f"unknown detector kind: {kind!r}")

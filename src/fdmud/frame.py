@@ -6,10 +6,14 @@ channel: the cyclic prefix is prepended, the frame is linearly convolved with
 each impulse response, user contributions are summed, white Gaussian noise is
 added, and the prefix is discarded.  ``transmit_bins`` assumes the cyclic
 prefix makes every channel circulant, and builds each frequency bin directly
-as ``y_n = A_n s_n + w_n``; the Monte-Carlo sweep uses it.  The assumption is
-proved, not trusted: ``verify.check_cp_circularity`` compares the two paths,
-and the test suite checks that they agree to rounding and leave the generator
-in the same state.
+as ``y_n = A_n s_n + w_n``; the Monte-Carlo sweep uses it for the M x M MMSE
+reference.  The assumption is proved, not trusted:
+``verify.check_cp_circularity`` compares the two paths, and the test suite
+checks that they agree to rounding and leave the generator in the same state.
+
+The sweep's K x K detectors read only ``A_n^H y_n``, which ``_bin_matched``
+forms from the channel taps, the Gram and the same noise draw, with no
+(N, M, K) stack ``A`` and no received frame.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BinChannel, ChannelRealization
+from .channel import BinChannel, ChannelRealization, _next_fast_len, _tap_spectra
 from .numerics import _split
 
 __all__ = [
@@ -127,30 +131,15 @@ def _check_cp(channel_len: int, cp_len: int) -> None:
         )
 
 
-def _next_fast_len(target: int) -> int:
-    """The smallest FFT length ``>= target >= 1`` with no prime factor above 11.
-
-    These are the lengths pocketfft transforms fastest, and the one
-    ``scipy.fft.next_fast_len`` returns for complex input.
-    """
-    n = target
-    while True:
-        rest = n
-        for prime in (2, 3, 5, 7, 11):
-            while rest % prime == 0:
-                rest //= prime
-        if rest == 1:
-            return n
-        n += 1
-
-
 def _awgn(num_antennas: int, frame_len: int, sigma_w2: float, rng) -> np.ndarray:
     """Time-domain noise of both transmit paths: one draw order, one stream."""
     sigma = np.sqrt(sigma_w2 / 2.0)
-    return sigma * (
-        rng.standard_normal((num_antennas, frame_len))
-        + 1j * rng.standard_normal((num_antennas, frame_len))
-    )
+    # The bytes of ``sigma * (x + 1j * y)``, written into one array with no
+    # complex temporaries.
+    noise = np.empty((num_antennas, frame_len), dtype=np.complex128)
+    np.multiply(sigma, rng.standard_normal((num_antennas, frame_len)), out=noise.real)
+    np.multiply(sigma, rng.standard_normal((num_antennas, frame_len)), out=noise.imag)
+    return noise
 
 
 def _check_frame(symbols: np.ndarray, num_users: int, fc: FrameConfig) -> None:
@@ -207,6 +196,12 @@ def transmit_bins(sf: SymbolFrame, bins: BinChannel, fc: FrameConfig, rng) -> Re
     the caller checks it (``ScenarioConfig`` does, before a sweep draws
     anything).
     """
+    noise = _awgn(bins.a.shape[1], fc.frame_len, fc.sigma_w2, rng)
+    return _transmit_bins(sf, bins, fc, noise)
+
+
+def _transmit_bins(sf: SymbolFrame, bins: BinChannel, fc: FrameConfig, noise) -> ReceivedFrame:
+    """:func:`transmit_bins` with its time-domain noise (M, N) already drawn."""
     symbols = np.asarray(sf.symbols)
     n_bins, m_ant, k_usr = bins.a.shape
     _check_frame(symbols, k_usr, fc)
@@ -221,7 +216,6 @@ def transmit_bins(sf: SymbolFrame, bins: BinChannel, fc: FrameConfig, rng) -> Re
 
     _split(n_bins, bins_run, bins.a.size + s_fd.size)
     signal = signal[..., 0].T  # (M, N)
-    noise = _awgn(m_ant, fc.frame_len, fc.sigma_w2, rng)
     samples = np.empty((m_ant, n_bins), dtype=np.complex128)
 
     def antennas_run(lo: int, hi: int) -> None:
@@ -229,6 +223,45 @@ def transmit_bins(sf: SymbolFrame, bins: BinChannel, fc: FrameConfig, rng) -> Re
 
     _split(m_ant, antennas_run, signal.size + noise.size)
     return ReceivedFrame(samples=samples, domain=FREQUENCY)
+
+
+def _bin_matched(sf: SymbolFrame, ch: ChannelRealization, gram: np.ndarray, noise) -> np.ndarray:
+    """``A_n^H y_n`` (N, K) for the frame ``_transmit_bins`` builds from ``noise``, without ``A``.
+
+    ``y_n = A_n s_n + w_n`` gives ``A_n^H y_n = G_n s_n + A_n^H w_n``, with
+    ``gram`` the stack of ``G_n = A_n^H A_n`` from ``channel._bin_grams``.
+    The noise term is the unitary DFT of each user's circular
+    cross-correlation ``c_k[t] = sum_m sum_l conj(h[m, k, l]) w_m[t + l]``
+    with the time-domain noise.  It is formed by overlap-save at the
+    ``P >= 2L - 1`` points of ``channel._tap_spectra``: the noise is cut into
+    cyclic segments of P samples that overlap by L - 1, and one stacked
+    K x M by M x (segments) product per point sums over the antennas, so
+    nothing of size M x K x N is formed and no chunk size enters the
+    arithmetic.  The result agrees with ``A^H y`` to rounding, not bytes.  A
+    non-finite entry, which finite taps and a finite Gram leave only to
+    overflow, raises ``ValueError`` naming its bin.
+    """
+    symbols = np.asarray(sf.symbols)
+    n_bins = gram.shape[0]
+    length = ch.taps.shape[2]
+    with np.errstate(invalid="ignore", over="ignore"):
+        spectra = _tap_spectra(ch.taps)  # (P, K, M)
+        p, k_usr, _ = spectra.shape
+        # Each segment yields P - L + 1 correlation lags that do not wrap.
+        block = p - length + 1
+        n_blocks = -(-n_bins // block)
+        starts = (np.arange(p)[:, np.newaxis] + block * np.arange(n_blocks)) % n_bins
+        segments = noise.T[starts]  # (P, blocks, M)
+        np.fft.fft(segments, axis=0, out=segments)
+        corr = np.fft.ifft(np.matmul(spectra, segments.transpose(0, 2, 1)), axis=0)[:block]
+        corr = corr.transpose(1, 2, 0).reshape(k_usr, n_blocks * block)[:, :n_bins]
+        s_fd = np.fft.fft(symbols, axis=1, norm="ortho").T[:, :, np.newaxis]  # (N, K, 1)
+        matched = np.matmul(gram, s_fd)[..., 0]
+        matched += np.fft.fft(corr, axis=1, norm="ortho").T
+    finite = np.isfinite(matched).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"bin {np.flatnonzero(~finite)[0]}: the matched-filter output A^H y overflows")
+    return matched
 
 
 def to_frequency_domain(rf: ReceivedFrame) -> ReceivedFrame:

@@ -24,9 +24,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelConfig, draw_channel, to_bin_channels
-from .detect import DetectionResult, DetectorKind, _match_frame, detect_frame
-from .frame import FrameConfig, SymbolFrame, _check_cp, generate_symbols, transmit_bins
+from .channel import BinChannel, ChannelConfig, _bin_grams, draw_channel, to_bin_channels
+from .detect import DetectionResult, DetectorKind, _Matched, detect_frame
+from .frame import (
+    FrameConfig,
+    SymbolFrame,
+    _awgn,
+    _bin_matched,
+    _check_cp,
+    _transmit_bins,
+    generate_symbols,
+)
 
 # Unused here, but benchmarks/workloads.py wraps both on this module.
 from .frame import to_frequency_domain, transmit  # noqa: F401
@@ -304,24 +312,33 @@ def _stream_seed(seed: int, point: int, frame: int, tag: int) -> int:
 def _run_frame(cfg: ScenarioConfig, fc: FrameConfig, p_idx: int, f_idx: int) -> dict:
     """Per-user SINR of each detector on one frame, ``None`` where it failed.
 
-    A function of its own so that a frame's channel, bins and received
-    samples are freed before the next frame draws its own; the channel taps
-    go as soon as the bins are formed.  Every ``K x K`` kind reads the same
-    ``A^H A`` and ``A^H y``, so they are formed once per frame.  Each kind
-    still makes its own ``detect_frame`` call, and so fails on its own.
+    A function of its own so that a frame's channel and statistics are freed
+    before the next frame draws its own.  Every ``K x K`` kind reads the
+    same ``A^H A`` and ``A^H y``, so they are formed once per frame, from
+    the channel taps and the frame's noise draw, with no (N, M, K) stack
+    ``A``.  Only the ``M x M`` reference builds ``A`` and the received
+    samples, from the same noise draw.  Each kind still makes its own
+    ``detect_frame`` call, and so fails on its own.
     """
     seed = cfg.channel.seed
-    bins = to_bin_channels(
-        draw_channel(replace(cfg.channel, seed=_stream_seed(seed, p_idx, f_idx, 0)))
-    )
+    realization = draw_channel(replace(cfg.channel, seed=_stream_seed(seed, p_idx, f_idx, 0)))
     sym_rng = np.random.default_rng([seed, p_idx, f_idx, 1])
     noise_rng = np.random.default_rng([seed, p_idx, f_idx, 2])
     sf = generate_symbols(cfg.channel.num_users, fc.frame_len, fc.constellation, sym_rng)
-    rf = transmit_bins(sf, bins, fc, noise_rng)
-    k_by_k = any(kind is not DetectorKind.MMSE for kind in cfg.detectors)
-    matched = _match_frame(rf, bins) if k_by_k else None
-    if DetectorKind.MMSE not in cfg.detectors:
-        rf = None  # only the M x M reference reads the samples themselves
+    m_ant, k_usr, _ = realization.taps.shape
+    noise = _awgn(m_ant, fc.frame_len, fc.sigma_w2, noise_rng)
+    rf = matched = None
+    if DetectorKind.MMSE in cfg.detectors:
+        bins = to_bin_channels(realization)
+        rf = _transmit_bins(sf, bins, fc, noise)
+    else:
+        # Detection from the statistics checks them against this shape and
+        # reads nothing else of it; mc-sweep's traced run counts bins from it.
+        bins = BinChannel(a=np.broadcast_to(np.complex128(0), (fc.frame_len, m_ant, k_usr)))
+    if any(kind is not DetectorKind.MMSE for kind in cfg.detectors):
+        gram = _bin_grams(realization)
+        matched = _Matched(gram, _bin_matched(sf, realization, gram, noise))
+    del realization, noise
     sinr = {}
     for kind in cfg.detectors:
         try:
@@ -337,10 +354,11 @@ def _run_frame(cfg: ScenarioConfig, fc: FrameConfig, p_idx: int, f_idx: int) -> 
 def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
     """Sweep input SNR, measuring output SINR per detector.
 
-    Per sweep point and frame: draw a fresh channel, generate symbols,
-    build the received bins ``A_n s_n + w_n`` with ``transmit_bins``, and run
-    each requested detector on the same received frame, the ``K x K`` ones
-    on its ``A^H A`` and ``A^H y``, formed once.  All randomness is
+    Per sweep point and frame: draw a fresh channel, generate symbols and
+    noise, and run each requested detector on the same frame: the ``K x K``
+    ones on its ``A^H A`` and ``A^H y``, formed once from the channel taps,
+    and the ``M x M`` reference on the received bins ``A_n s_n + w_n`` that
+    ``transmit_bins`` builds from the same noise.  All randomness is
     keyed by (seed, point index, frame index), so identical configs produce
     byte-identical CSV output under one ``RNG_LAYOUT``, regardless of
     execution order.  Frames on which a detector fails (a singular bin, or a

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from fdmud import harness
 from fdmud.channel import BinChannel
-from fdmud.detect import detect_frame
+from fdmud.detect import _gram_and_matched, _Matched, detect_frame
 from fdmud.frame import ReceivedFrame
 
 
@@ -47,6 +48,35 @@ def detect_bin(a_n, y_n, kind, sigma_w2=0.0):
     rf = ReceivedFrame(samples=np.asarray(y_n)[:, np.newaxis], domain="frequency")
     bins = BinChannel(a=np.asarray(a_n)[np.newaxis])
     return detect_frame(rf, bins, sigma_w2, kind).s_hat_time[:, 0]
+
+
+def frame_statistics(rf, bins):
+    """The ``A^H A`` and ``A^H y`` of a frequency-domain frame, formed from ``A``."""
+    return _Matched(*_gram_and_matched(np.asarray(bins.a), rf.samples.T))
+
+
+def edit_sweep_statistics(monkeypatch, edit):
+    """Have the sweep detect from statistics ``edit(gram, matched)`` changed in place.
+
+    The sweep forms each frame's ``A^H A`` and ``A^H y`` from the taps, so a
+    channel fault is injected there: a dead user column ``k`` at bin ``n``
+    zeroes ``gram[n, k, :]``, ``gram[n, :, k]`` and ``matched[n, k]``.
+    """
+    original = harness._bin_matched
+
+    def bin_matched(sf, realization, gram, noise):
+        matched = original(sf, realization, gram, noise)
+        edit(gram, matched)
+        return matched
+
+    monkeypatch.setattr(harness, "_bin_matched", bin_matched)
+
+
+def kill_column(gram, matched, n, k):
+    """Make user ``k`` at bin ``n`` a zero-power channel column."""
+    gram[n, k, :] = 0.0
+    gram[n, :, k] = 0.0
+    matched[n, k] = 0.0
 
 
 @pytest.fixture

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fdmud.channel import (
     BinChannel,
     ChannelConfig,
     ChannelRealization,
+    _bin_grams,
     draw_channel,
     to_bin_channels,
 )
@@ -223,3 +226,48 @@ class TestToBinChannels:
         td_energy = cfg.frame_len * (np.abs(realization.taps) ** 2).sum(axis=2)
         assert_allclose(fd_energy, td_energy, rtol=1e-10)
 
+
+
+@st.composite
+def gram_shapes(draw):
+    """Random (M, K, N, L) with 1 <= K < M and 1 <= L <= N, so 2L - 1 may exceed N."""
+    m_ant = draw(st.integers(2, 9))
+    k_usr = draw(st.integers(1, m_ant - 1))
+    frame_len = draw(st.integers(1, 80))
+    return m_ant, k_usr, frame_len, draw(st.integers(1, frame_len))
+
+
+class TestBinGrams:
+    """``A_n^H A_n`` from the taps' autocorrelation, against the product over ``A``."""
+
+    @seed(20261019)
+    @settings(max_examples=80, deadline=None)
+    @given(gram_shapes(), st.integers(0, 2**32))
+    @example((4, 2, 8, 1), 0)  # L = 1: every bin holds the same Gram
+    @example((5, 3, 9, 9), 1)  # 2L - 1 = 17 > N: lags fold modulo N
+    @example((6, 3, 1, 1), 2)  # N = 1
+    def test_equals_the_gram_of_the_bin_channels(self, shape, rng_seed):
+        m_ant, k_usr, frame_len, length = shape
+        realization = draw_channel(
+            ChannelConfig(m_ant, k_usr, frame_len, length, decay_samples=3.0, seed=rng_seed)
+        )
+        a = to_bin_channels(realization).a
+        expected = a.conj().transpose(0, 2, 1) @ a
+        gram = _bin_grams(realization)
+        assert gram.shape == expected.shape
+        assert np.abs(gram - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tap_named_as_the_channel(self, value):
+        realization = draw_channel(small_config())
+        realization.taps[1, 0, 2] = value
+        with pytest.raises(ValueError, match=r"^bin 0: channel entries must be finite$"):
+            _bin_grams(realization)
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_taps_whose_gram_overflows(self):
+        realization = draw_channel(small_config())
+        realization.taps[1] *= 1e160  # finite taps; their squares are not
+        with pytest.raises(ValueError, match=r"^bin 0: the channel's A\^H A overflows$"):
+            _bin_grams(realization)

@@ -7,13 +7,15 @@ split as large frames do.
 import numpy as np
 import pytest
 
-from fdmud import detect, harness, numerics, precode
-from fdmud.channel import BinChannel, ChannelConfig, draw_channel, to_bin_channels
-from fdmud.detect import DetectorKind, _match_frame, detect_frame
+from fdmud import detect, numerics, precode
+from fdmud.channel import BinChannel, ChannelConfig, _bin_grams, draw_channel, to_bin_channels
+from fdmud.detect import DetectorKind, detect_frame
 from fdmud.frame import (
     FrameConfig,
     ReceivedFrame,
     SymbolFrame,
+    _awgn,
+    _bin_matched,
     generate_symbols,
     transmit,
     transmit_bins,
@@ -22,7 +24,7 @@ from fdmud.harness import ScenarioConfig, run_monte_carlo
 from fdmud.numerics import DegenerateScaleError, SingularMatrixError
 from fdmud.precode import precode_frame
 
-from conftest import crandn
+from conftest import crandn, edit_sweep_statistics, frame_statistics, kill_column
 
 N_BINS = 32  # not a multiple of 3: three chunks differ in size
 WHOLE = 10**9  # a minimum chunk size no test input reaches
@@ -50,6 +52,10 @@ def every_output():
     sf = generate_symbols(3, N_BINS, "qpsk", rng)
     rf = transmit_bins(sf, bins, fc, rng)
     out = {"bins": bins.a, "received": rf.samples, "next_draw": rng.standard_normal(4)}
+    gram = _bin_grams(realization)
+    noise = _awgn(6, N_BINS, fc.sigma_w2, np.random.default_rng(24))
+    out["statistics.gram"] = gram
+    out["statistics.matched"] = _bin_matched(sf, realization, gram, noise)
     rng = np.random.default_rng(23)
     out["transmit"] = transmit(sf, realization, fc, rng).samples
     out["transmit.next_draw"] = rng.standard_normal(4)
@@ -68,6 +74,8 @@ def every_output():
 # Detection at N_BINS reads 768 entries: a minimum of 256 makes three chunks
 # (10, 11 and 11 bins) and a minimum of 1 one chunk per bin.  ``transmit``'s
 # tap spectrum has 720 entries: two chunks of antennas, then one per antenna.
+# The sweep's tap-domain statistics take no chunks; they are compared so that
+# no chunk size ever reaches their bytes.
 @pytest.mark.parametrize("min_chunk", [256, 1])
 def test_outputs_do_not_depend_on_chunks(split, min_chunk):
     split(WHOLE)
@@ -154,7 +162,7 @@ def test_statistics_give_the_bytes_of_the_received_frame(split, rng, min_chunk):
         split(min_chunk)
     bins = BinChannel(a=crandn(rng, 200, 32, 14))
     rf = ReceivedFrame(samples=crandn(rng, 32, 200), domain="frequency")
-    matched = _match_frame(rf, bins)
+    matched = frame_statistics(rf, bins)
     for kind in (
         DetectorKind.MRC_MMSE,
         DetectorKind.TR_MRC,
@@ -168,6 +176,26 @@ def test_statistics_give_the_bytes_of_the_received_frame(split, rng, min_chunk):
         # the path that precodes; the statistics serve the sweep, which does not.
         assert result.cache is None, kind
         assert (expected.cache is not None) == (kind is DetectorKind.MRC_MMSE), kind
+
+
+@pytest.mark.parametrize("min_chunk", [None, 1], ids=["default", "one-bin"])
+def test_statistics_read_only_the_shape_of_the_bin_channels(split, rng, min_chunk):
+    # The sweep passes a shape-only view in place of A; NaN everywhere shows
+    # that no entry of it is read.
+    if min_chunk is not None:
+        split(min_chunk)
+    bins = BinChannel(a=crandn(rng, 200, 32, 14))
+    rf = ReceivedFrame(samples=crandn(rng, 32, 200), domain="frequency")
+    matched = frame_statistics(rf, bins)
+    shape_only = BinChannel(a=np.broadcast_to(np.complex128(np.nan), bins.a.shape))
+    for kind in (
+        DetectorKind.MRC_MMSE,
+        DetectorKind.TR_MRC,
+        DetectorKind.LOW_SNR,
+        DetectorKind.HIGH_SNR_ZF,
+    ):
+        expected = detect_frame(matched, bins, 0.1, kind).s_hat_time
+        assert np.array_equal(detect_frame(matched, shape_only, 0.1, kind).s_hat_time, expected)
 
 
 class TestTwoLevelErrorsNameTheGlobalBin:
@@ -241,14 +269,7 @@ def test_zero_pivot_in_mmse_names_the_global_bin(split, rng):
 
 def test_a_failing_last_chunk_counts_as_a_failed_frame(split, monkeypatch):
     split(1)
-    original = harness.to_bin_channels
-
-    def dead_last_bin(realization):
-        a = original(realization).a.copy()
-        a[-1, :, 0] = 0.0
-        return BinChannel(a=a)
-
-    monkeypatch.setattr(harness, "to_bin_channels", dead_last_bin)
+    edit_sweep_statistics(monkeypatch, lambda g, z: kill_column(g, z, -1, 0))
     channel = ChannelConfig(
         num_antennas=4, num_users=2, frame_len=32, channel_len=3, decay_samples=2.0, seed=5
     )

@@ -6,7 +6,6 @@ from fdmud.channel import BinChannel, ChannelConfig, draw_channel, to_bin_channe
 from fdmud.detect import (
     DetectorKind,
     InverseCache,
-    _match_frame,
     _Matched,
     _unbias,
     detect_frame,
@@ -17,7 +16,7 @@ from fdmud.detect import (
 from fdmud.frame import FrameConfig, ReceivedFrame, generate_symbols, to_frequency_domain, transmit
 from fdmud.numerics import DegenerateScaleError, SingularMatrixError
 
-from conftest import build_circulant, crandn, detect_bin
+from conftest import build_circulant, crandn, detect_bin, frame_statistics
 
 
 def normal_equations_oracle(a, y, sigma_w2):
@@ -189,6 +188,18 @@ def test_single_bin_non_finite_input_named(rng, name, arg, value):
     v = crandn(rng, 3 if second == "r_n" else 6)
     (a_n if arg == "a_n" else v)[1] = value
     with pytest.raises(ValueError, match=rf"^{arg} must have finite entries$"):
+        call(a_n, v)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["mmse_bin", "mrcmmse_bin"])
+def test_single_bin_gram_overflow_named(rng, name):
+    # Finite entries whose squares are not: named as detect_frame names it.
+    call, second = BIN_CALLS[name]
+    a_n = crandn(rng, 6, 3)
+    a_n[1] *= 1e160
+    v = crandn(rng, 3 if second == "r_n" else 6)
+    with pytest.raises(ValueError, match=r"^bin 0: the channel's A\^H A overflows$"):
         call(a_n, v)
 
 
@@ -410,7 +421,7 @@ class TestDetectFrame:
         bins = BinChannel(a=a)
         rf = ReceivedFrame(samples=crandn(rng, 8, 32), domain="frequency")
         with pytest.raises(ValueError, match=r"^bin 5: channel entries must be finite$"):
-            detect_frame(_match_frame(rf, bins) if statistics else rf, bins, 0.1, kind)
+            detect_frame(frame_statistics(rf, bins) if statistics else rf, bins, 0.1, kind)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("statistics", [False, True], ids=["frame", "statistics"])
@@ -421,12 +432,20 @@ class TestDetectFrame:
         bins = BinChannel(a=a)
         rf = ReceivedFrame(samples=crandn(rng, 8, 32), domain="frequency")
         with pytest.raises(ValueError, match=r"^bin 5: the channel's A\^H A overflows$"):
-            detect_frame(_match_frame(rf, bins) if statistics else rf, bins, 0.1, kind)
+            detect_frame(frame_statistics(rf, bins) if statistics else rf, bins, 0.1, kind)
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_channel_whose_gram_overflows_in_the_reference(self, rng):
+        a = crandn(rng, 32, 8, 3)
+        a[5] *= 1e160
+        rf = ReceivedFrame(samples=crandn(rng, 8, 32), domain="frequency")
+        with pytest.raises(ValueError, match=r"^bin 5: the channel's A\^H A overflows$"):
+            detect_frame(rf, BinChannel(a=a), 0.1, DetectorKind.MMSE)
 
     def test_statistics_checked_against_the_channel(self, rng):
         bins = BinChannel(a=crandn(rng, 8, 4, 2))
         rf = ReceivedFrame(samples=crandn(rng, 4, 8), domain="frequency")
-        matched = _match_frame(rf, bins)
+        matched = frame_statistics(rf, bins)
         with pytest.raises(ValueError, match="do not match bin channels"):
             detect_frame(matched, BinChannel(a=bins.a[:7]), 0.1, DetectorKind.MRC_MMSE)
         short = _Matched(gram=matched.gram, matched=matched.matched[:7])

@@ -4,11 +4,20 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fdmud.channel import ChannelConfig, ChannelRealization, draw_channel, to_bin_channels
+from fdmud.channel import (
+    ChannelConfig,
+    ChannelRealization,
+    _bin_grams,
+    draw_channel,
+    to_bin_channels,
+)
+from fdmud.detect import _gram_and_matched
 from fdmud.frame import (
     FrameConfig,
     ReceivedFrame,
     SymbolFrame,
+    _awgn,
+    _bin_matched,
     _next_fast_len,
     bin_vector,
     constellation_points,
@@ -185,6 +194,55 @@ class TestTransmitBins:
         sf = generate_symbols(1, 16, "qpsk", rng)
         with pytest.raises(ValueError, match="user count"):
             transmit_bins(sf, to_bin_channels(ch), FrameConfig(frame_len=16, cp_len=4), rng)
+
+
+class TestAwgn:
+    @pytest.mark.parametrize("rng_seed", range(5))
+    def test_bytes_of_the_complex_expression(self, rng_seed):
+        # Written part by part into one array, the noise keeps the bytes of
+        # sigma * (x + 1j * y) and leaves the generator where it did.
+        sigma_w2 = 10.0 ** (rng_seed - 2)
+        rng, old = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+        noise = _awgn(8, 64, sigma_w2, rng)
+        sigma = np.sqrt(sigma_w2 / 2.0)
+        expected = sigma * (old.standard_normal((8, 64)) + 1j * old.standard_normal((8, 64)))
+        assert noise.tobytes() == expected.tobytes()
+        assert np.array_equal(rng.standard_normal(4), old.standard_normal(4))
+
+
+class TestBinMatched:
+    """``A_n^H y_n`` from the taps, the Gram and the noise, with no ``A``."""
+
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None)
+    @given(cp_scenarios())
+    def test_equals_the_product_over_the_received_bins(self, scenario):
+        channel, fc, rng_seed = scenario
+        realization = draw_channel(channel)
+        sf = generate_symbols(
+            channel.num_users, fc.frame_len, fc.constellation, np.random.default_rng(rng_seed)
+        )
+        bins = to_bin_channels(realization)
+        rf = transmit_bins(sf, bins, fc, np.random.default_rng(rng_seed + 1))
+        noise = _awgn(channel.num_antennas, fc.frame_len, fc.sigma_w2, np.random.default_rng(rng_seed + 1))
+        matched = _bin_matched(sf, realization, _bin_grams(realization), noise)
+        _, expected = _gram_and_matched(bins.a, rf.samples.T)
+        assert matched.shape == expected.shape
+        assert np.abs(matched - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_names_the_first_bin(self, rng):
+        cfg = ChannelConfig(
+            num_antennas=4, num_users=2, frame_len=8, channel_len=2, decay_samples=1.0, seed=3
+        )
+        realization = draw_channel(cfg)
+        realization.taps[...] *= 1e150  # a finite Gram of about 1e300
+        gram = _bin_grams(realization)
+        sf = generate_symbols(2, 8, "qpsk", rng)
+        noise = np.zeros((4, 8), dtype=complex)
+        noise[:, 5] = 1e200  # a finite frame whose A^H w is not
+        with pytest.raises(ValueError, match=r"^bin 0: the matched-filter output A\^H y overflows$"):
+            _bin_matched(sf, realization, gram, noise)
 
 
 class TestToFrequencyDomain:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fdmud import detect, harness, numerics
-from fdmud.channel import BinChannel, ChannelConfig
+from fdmud.channel import ChannelConfig
 from fdmud.detect import DetectionResult, DetectorKind
 from fdmud.frame import FrameConfig, SymbolFrame
 from fdmud.harness import (
@@ -20,6 +20,8 @@ from fdmud.harness import (
     theoretical_gains,
 )
 from fdmud.numerics import DegenerateScaleError
+
+from conftest import edit_sweep_statistics, kill_column
 
 
 def itemized_mmse(m, k):
@@ -269,14 +271,7 @@ class TestRunMonteCarlo:
     def test_zero_power_column_counts_as_mrc_mmse_failure(self, monkeypatch, recwarn):
         # a dead user column at bin 3 fails MRC-MMSE on every frame instead
         # of feeding a nan SINR into the average
-        original = harness.to_bin_channels
-
-        def dead_column(realization):
-            a = original(realization).a.copy()
-            a[3, :, 0] = 0.0
-            return BinChannel(a=a)
-
-        monkeypatch.setattr(harness, "to_bin_channels", dead_column)
+        edit_sweep_statistics(monkeypatch, lambda g, z: kill_column(g, z, 3, 0))
         report = run_monte_carlo(tiny_scenario(detectors=(DetectorKind.MRC_MMSE,)))
         for row in report.rows:
             assert (row.n_frames, row.n_failures) == (0, 3)
@@ -284,18 +279,51 @@ class TestRunMonteCarlo:
 
     def test_gram_formed_once_per_frame(self, monkeypatch):
         formed = []
-        original = detect._gram_and_matched
+        original = harness._bin_grams
 
-        def spy(a, y):
-            formed.append(len(a))
-            return original(a, y)
+        def spy(realization):
+            formed.append(realization.config.frame_len)
+            return original(realization)
 
-        monkeypatch.setattr(detect, "_gram_and_matched", spy)
+        def from_a(a, y):
+            raise AssertionError("the sweep formed A^H A from A")
+
+        monkeypatch.setattr(harness, "_bin_grams", spy)
+        monkeypatch.setattr(detect, "_gram_and_matched", from_a)
         report = run_monte_carlo(tiny_scenario(detectors=tuple(DetectorKind)))
         assert all(row.n_failures == 0 for row in report.rows)
         # 2 sweep points x 3 frames of 32 bins, each bin formed once for all
         # four K x K kinds
         assert sum(formed) == 6 * 32
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["k-by-k", "with-mmse"])
+    def test_builds_the_bin_channels_only_for_the_reference(self, monkeypatch, reference):
+        built, channels = [], []
+        for name in ("to_bin_channels", "_transmit_bins"):
+            original = getattr(harness, name)
+
+            def spy(*args, _name=name, _original=original):
+                built.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(harness, name, spy)
+        original_detect = harness.detect_frame
+
+        def detect_frame(rf, bins, sigma_w2, kind):
+            channels.append(bins.a)
+            return original_detect(rf, bins, sigma_w2, kind)
+
+        monkeypatch.setattr(harness, "detect_frame", detect_frame)
+        kinds = (DetectorKind.MRC_MMSE, DetectorKind.TR_MRC)
+        if reference:
+            kinds += (DetectorKind.MMSE,)
+        report = run_monte_carlo(tiny_scenario(detectors=kinds, frames_per_point=1))
+        assert all(row.n_frames == 1 for row in report.rows)
+        assert built == ["to_bin_channels", "_transmit_bins"] * 2 * reference
+        assert all(a.shape == (32, 4, 2) for a in channels)
+        # Without the reference, detection sees a read-only, zero-stride view.
+        shape_only = [a.strides == (0, 0, 0) and not a.flags.writeable for a in channels]
+        assert shape_only == [not reference] * len(channels)
 
     def test_builds_no_inverse_cache(self, monkeypatch):
         # The sweep never precodes, so MRC-MMSE keeps no (N, K, K) inverses.
@@ -315,15 +343,13 @@ class TestRunMonteCarlo:
 
     def test_equal_columns_fail_only_zero_forcing(self, monkeypatch):
         # Two all-ones columns at bin 3 give the exactly singular Gram
-        # 4 * ones((2, 2)); adding sigma_w2 I or taking its diagonal is fine.
-        original = harness.to_bin_channels
+        # 4 * ones((2, 2)) and equal matched outputs; adding sigma_w2 I or
+        # taking its diagonal is fine.
+        def equal_columns(gram, matched):
+            gram[3] = 4.0
+            matched[3] = matched[3, 0]
 
-        def equal_columns(realization):
-            a = original(realization).a.copy()
-            a[3] = 1.0
-            return BinChannel(a=a)
-
-        monkeypatch.setattr(harness, "to_bin_channels", equal_columns)
+        edit_sweep_statistics(monkeypatch, equal_columns)
         kinds = (DetectorKind.MRC_MMSE, DetectorKind.TR_MRC, DetectorKind.HIGH_SNR_ZF)
         report = run_monte_carlo(
             tiny_scenario(detectors=kinds, snr_sweep_db=(0.0,), frames_per_point=1)
