@@ -14,8 +14,10 @@ order-independent by deriving each frame's seed from (seed, point, frame).
 
 Because the cyclic prefix makes every channel circulant, bin n's Gram
 ``A_n^H A_n`` is the DFT of the channel's K x K autocorrelation, which has
-only ``2L - 1`` lags.  ``_bin_grams`` forms all N of them from the taps that
-way, so the Monte-Carlo sweep never builds the (N, M, K) stack ``A`` that
+only ``2L - 1`` lags, and ``A_n^H y_n`` the DFT of the taps' correlation
+with the time-domain signal.  ``_tap_statistics`` forms both for all N bins
+from one FFT of the taps, in one pass over blocks of antennas, so the
+Monte-Carlo sweep never builds the (N, M, K) stack ``A`` that
 ``to_bin_channels`` returns: at 256 x 16 x 4096 that stack alone is 268 MB.
 """
 
@@ -169,21 +171,6 @@ def _next_fast_len(target: int) -> int:
         n += 1
 
 
-def _tap_spectra(taps: np.ndarray) -> np.ndarray:
-    """The conjugated DFTs of the impulse responses at ``P = _next_fast_len(2L - 1)`` points.
-
-    Laid out (P, K, M), so entry p is the K x M matrix ``A^H`` of the
-    channel at the p-th of P bins.  At ``P >= 2L - 1`` points the products of
-    two spectra hold the ``2L - 1`` lags of a correlation of the taps without
-    wrapping; both tap-domain statistics start from here.
-    """
-    m_ant, k_usr, length = taps.shape
-    spectra = np.zeros((_next_fast_len(2 * length - 1), k_usr, m_ant), dtype=np.complex128)
-    spectra[:length] = taps.transpose(2, 1, 0)
-    np.fft.fft(spectra, axis=0, out=spectra)
-    return np.conjugate(spectra, out=spectra)
-
-
 def _check_power(power: np.ndarray, channel_finite) -> None:
     """Raise ``ValueError`` naming the first bin of ``power`` (N, K) that is not finite.
 
@@ -201,31 +188,85 @@ def _check_power(power: np.ndarray, channel_finite) -> None:
         raise ValueError(f"bin {n}: channel entries must be finite")
 
 
-def _bin_grams(realization: ChannelRealization) -> np.ndarray:
-    """``A_n^H A_n`` (N, K, K) for every bin of ``to_bin_channels(realization)``, without ``A``.
+def _check_matched(matched: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first bin of ``matched`` (N, K) that is not finite.
 
-    With ``R(d) = sum_m sum_l conj(h[m, :, l])^T h[m, :, l + d]`` the K x K
-    autocorrelation of the taps at lag ``d``, ``A_n^H A_n`` is
-    ``sum_d R(d) exp(-2j pi n d / N)``.  The ``2L - 1`` lags come from one
-    stacked K x K Gram of :func:`_tap_spectra` and an inverse FFT; they are
-    folded modulo N, which matters when ``2L - 1 > N``, and one FFT takes
-    them to the N bins.  The result agrees with ``A^H A`` to rounding, not
-    bytes.  A Gram that is not finite raises ``ValueError`` naming its bin
-    (see :func:`_check_power`).
+    ``matched`` holds each bin's ``A^H y``; from finite taps and a finite
+    signal it is non-finite only by overflow.
     """
-    n = realization.config.frame_len
-    taps = realization.taps
-    _, k_usr, length = taps.shape
-    # The check below reports a non-finite Gram, so NumPy need not warn.
+    finite = np.isfinite(matched).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"bin {np.flatnonzero(~finite)[0]}: the matched-filter output A^H y overflows")
+
+
+# Antennas per pass of ``_tap_statistics``.  A fixed count, not a chunk size
+# from ``numerics``, so that no chunk setting reaches its bytes.  From
+# 64 x 14 x 2048 to 256 x 16 x 4096, 16 ran fastest or near it, 4 and 8
+# slower, and whole-M blocks held M x P spectra and segments again.
+_BLOCK_ANTENNAS = 16
+
+
+def _tap_statistics(taps: np.ndarray, signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``A_n^H A_n`` (N, K, K) and ``A_n^H y_n`` (N, K) from the taps, without ``A``.
+
+    ``A`` is ``to_bin_channels`` of the (M, K, L) ``taps`` at the N bins of
+    ``signal``, any time-domain (M, N) frame, and ``y`` its unitary DFT.
+    Both come from the taps' DFTs at ``P = _next_fast_len(2L - 1)`` points,
+    where the product of two spectra holds the ``2L - 1`` lags of a
+    correlation without wrapping.  With ``R(d) = sum_m sum_l
+    conj(h[m, :, l])^T h[m, :, l + d]`` the K x K autocorrelation at lag d,
+    ``A_n^H A_n`` is ``sum_d R(d) exp(-2j pi n d / N)``: the lags come from a
+    stacked K x K Gram of the spectra and an inverse FFT, are folded modulo N
+    (which matters when ``2L - 1 > N``), and one FFT takes them to the N
+    bins.  ``A_n^H y_n`` is the unitary DFT of each user's circular
+    cross-correlation ``c_k[t] = sum_m sum_l conj(h[m, k, l]) y_m[t + l]``,
+    formed by overlap-save: the signal is cut into cyclic segments of P
+    samples that overlap by L - 1, and each point sums a K x M by
+    M x (segments) product over the antennas.
+
+    One loop over fixed blocks of antennas adds each block's two products
+    into the (P, K, K) and (P, K, segments) spectra, so no array here has
+    M x P entries.  The results agree with the products over ``A`` to
+    rounding, not bytes.  A non-finite Gram raises ``ValueError`` naming
+    its bin (see :func:`_check_power`), and so does a non-finite
+    ``A^H y``.
+    """
+    m_ant, k_usr, length = taps.shape
+    n_bins = signal.shape[1]
+    p = _next_fast_len(2 * length - 1)
+    # Each segment yields P - L + 1 correlation lags that do not wrap.
+    step = p - length + 1
+    n_segments = -(-n_bins // step)
+    starts = (np.arange(p)[:, np.newaxis] + step * np.arange(n_segments)) % n_bins
+    lag_spectra = np.zeros((p, k_usr, k_usr), dtype=np.complex128)
+    corr_spectra = np.zeros((p, k_usr, n_segments), dtype=np.complex128)
+    # The checks below report non-finite results, so NumPy need not warn.
     with np.errstate(invalid="ignore", over="ignore"):
-        spectra = _tap_spectra(taps)
-        lags = np.fft.ifft(np.matmul(spectra, spectra.conj().transpose(0, 2, 1)), axis=0)
+        for lo in range(0, m_ant, _BLOCK_ANTENNAS):
+            hi = min(lo + _BLOCK_ANTENNAS, m_ant)
+            # Entry p is this block's K x (hi - lo) part of A^H at the p-th point.
+            spectra = np.zeros((p, k_usr, hi - lo), dtype=np.complex128)
+            spectra[:length] = taps[lo:hi].transpose(2, 1, 0)
+            np.fft.fft(spectra, axis=0, out=spectra)
+            np.conjugate(spectra, out=spectra)
+            lag_spectra += np.matmul(spectra, spectra.conj().transpose(0, 2, 1))
+            segments = signal[lo:hi].T[starts]  # (P, segments, hi - lo)
+            np.fft.fft(segments, axis=0, out=segments)
+            corr_spectra += np.matmul(spectra, segments.transpose(0, 2, 1))
+        # The last block's arrays go before the outputs are formed, and the
+        # inverse FFTs write in place, so the outputs are the largest arrays.
+        del spectra, segments
+        corr = np.fft.ifft(corr_spectra, axis=0, out=corr_spectra)[:step]
+        corr = corr.transpose(1, 2, 0).reshape(k_usr, n_segments * step)[:, :n_bins]
+        matched = np.fft.fft(corr, axis=1, norm="ortho").T
+        lags = np.fft.ifft(lag_spectra, axis=0, out=lag_spectra)
         # Lags 0 .. L - 1 come first in ``lags``, lags 1 - L .. -1 last.
-        gram = np.zeros((n, k_usr, k_usr), dtype=np.complex128)
+        gram = np.zeros((n_bins, k_usr, k_usr), dtype=np.complex128)
         gram[:length] = lags[:length]
-        gram[np.arange(1 - length, 0) % n] += lags[len(lags) + 1 - length :]
+        gram[np.arange(1 - length, 0) % n_bins] += lags[p + 1 - length :]
         np.fft.fft(gram, axis=0, out=gram)
     # A non-finite tap reaches every bin, so a bin's channel is finite
     # exactly when all the taps are.
     _check_power(gram.diagonal(axis1=1, axis2=2), lambda _: np.isfinite(taps).all())
-    return gram
+    _check_matched(matched)
+    return gram, matched

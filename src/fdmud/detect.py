@@ -36,12 +36,13 @@ sub-chunks each; at 128 x 16 x 512, 2 inverse calls where chunks sized by
 forms the two statistics once, as a ``_Matched``, and passes them to
 ``detect_frame`` in place of the received frame, which then slices them by
 the same chunks.  The Monte-Carlo sweep forms them from the channel taps
-without building ``A`` at all, and passes a shape-only ``BinChannel``
-whose ``a`` the statistics path never reads.  The M x M MMSE kernel runs
-on chunks sized by its (n, M, M) covariance stack: 18 chunks of 14 or 15
-bins at 64 x 14 x 256.  Every kernel that reads ``A`` rejects a channel
-whose ``A^H A`` is not finite, naming the bin and whether an entry is not
-finite or the finite entries overflow.
+and its noise draw, in one pass over blocks of antennas
+(``channel._tap_statistics``), without building ``A`` at all, and passes a
+shape-only ``BinChannel`` whose ``a`` the statistics path never reads.  The
+M x M MMSE kernel runs on chunks sized by its (n, M, M) covariance stack:
+18 chunks of 14 or 15 bins at 64 x 14 x 256.  Every kernel that reads
+``A`` rejects a channel whose ``A^H A`` is not finite, naming the bin and
+whether an entry is not finite or the finite entries overflow.
 """
 
 from __future__ import annotations
@@ -232,9 +233,10 @@ class _Matched:
     Every K x K detector is a function of these and the noise variance, so a
     caller running several K x K kinds on one frame forms them once and
     hands them to :func:`detect_frame` in place of the received frame.  The
-    Monte-Carlo sweep forms them from the channel taps
-    (``channel._bin_grams`` and ``frame._bin_matched``), never building
-    ``A``; ``_gram_and_matched`` forms them from ``A`` and ``y``.
+    Monte-Carlo sweep forms them from the channel taps and its noise draw
+    (``channel._tap_statistics`` gives ``A^H A`` and ``A^H w``, and
+    ``A^H y = A^H A s + A^H w``), never building ``A``;
+    ``_gram_and_matched`` forms them from ``A`` and ``y``.
     """
 
     gram: np.ndarray

@@ -11,8 +11,9 @@ reference.  The assumption is proved, not trusted:
 ``verify.check_cp_circularity`` compares the two paths, and the test suite
 checks that they agree to rounding and leave the generator in the same state.
 
-The sweep's K x K detectors read only ``A_n^H y_n``, which ``_bin_matched``
-forms from the channel taps, the Gram and the same noise draw, with no
+The sweep's K x K detectors read only ``A_n^H A_n`` and ``A_n^H y_n``.  It
+forms the second as ``A_n^H A_n s_n + A_n^H w_n``, both terms from
+``channel._tap_statistics`` of the taps and the same noise draw, with no
 (N, M, K) stack ``A`` and no received frame.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BinChannel, ChannelRealization, _next_fast_len, _tap_spectra
+from .channel import BinChannel, ChannelRealization, _next_fast_len
 from .numerics import _split
 
 __all__ = [
@@ -223,45 +224,6 @@ def _transmit_bins(sf: SymbolFrame, bins: BinChannel, fc: FrameConfig, noise) ->
 
     _split(m_ant, antennas_run, signal.size + noise.size)
     return ReceivedFrame(samples=samples, domain=FREQUENCY)
-
-
-def _bin_matched(sf: SymbolFrame, ch: ChannelRealization, gram: np.ndarray, noise) -> np.ndarray:
-    """``A_n^H y_n`` (N, K) for the frame ``_transmit_bins`` builds from ``noise``, without ``A``.
-
-    ``y_n = A_n s_n + w_n`` gives ``A_n^H y_n = G_n s_n + A_n^H w_n``, with
-    ``gram`` the stack of ``G_n = A_n^H A_n`` from ``channel._bin_grams``.
-    The noise term is the unitary DFT of each user's circular
-    cross-correlation ``c_k[t] = sum_m sum_l conj(h[m, k, l]) w_m[t + l]``
-    with the time-domain noise.  It is formed by overlap-save at the
-    ``P >= 2L - 1`` points of ``channel._tap_spectra``: the noise is cut into
-    cyclic segments of P samples that overlap by L - 1, and one stacked
-    K x M by M x (segments) product per point sums over the antennas, so
-    nothing of size M x K x N is formed and no chunk size enters the
-    arithmetic.  The result agrees with ``A^H y`` to rounding, not bytes.  A
-    non-finite entry, which finite taps and a finite Gram leave only to
-    overflow, raises ``ValueError`` naming its bin.
-    """
-    symbols = np.asarray(sf.symbols)
-    n_bins = gram.shape[0]
-    length = ch.taps.shape[2]
-    with np.errstate(invalid="ignore", over="ignore"):
-        spectra = _tap_spectra(ch.taps)  # (P, K, M)
-        p, k_usr, _ = spectra.shape
-        # Each segment yields P - L + 1 correlation lags that do not wrap.
-        block = p - length + 1
-        n_blocks = -(-n_bins // block)
-        starts = (np.arange(p)[:, np.newaxis] + block * np.arange(n_blocks)) % n_bins
-        segments = noise.T[starts]  # (P, blocks, M)
-        np.fft.fft(segments, axis=0, out=segments)
-        corr = np.fft.ifft(np.matmul(spectra, segments.transpose(0, 2, 1)), axis=0)[:block]
-        corr = corr.transpose(1, 2, 0).reshape(k_usr, n_blocks * block)[:, :n_bins]
-        s_fd = np.fft.fft(symbols, axis=1, norm="ortho").T[:, :, np.newaxis]  # (N, K, 1)
-        matched = np.matmul(gram, s_fd)[..., 0]
-        matched += np.fft.fft(corr, axis=1, norm="ortho").T
-    finite = np.isfinite(matched).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"bin {np.flatnonzero(~finite)[0]}: the matched-filter output A^H y overflows")
-    return matched
 
 
 def to_frequency_domain(rf: ReceivedFrame) -> ReceivedFrame:

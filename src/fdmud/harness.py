@@ -24,17 +24,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import BinChannel, ChannelConfig, _bin_grams, draw_channel, to_bin_channels
-from .detect import DetectionResult, DetectorKind, _Matched, detect_frame
-from .frame import (
-    FrameConfig,
-    SymbolFrame,
-    _awgn,
-    _bin_matched,
-    _check_cp,
-    _transmit_bins,
-    generate_symbols,
+from .channel import (
+    BinChannel,
+    ChannelConfig,
+    _check_matched,
+    _tap_statistics,
+    draw_channel,
+    to_bin_channels,
 )
+from .detect import DetectionResult, DetectorKind, _Matched, detect_frame
+from .frame import FrameConfig, SymbolFrame, _awgn, _check_cp, _transmit_bins, generate_symbols
 
 # Unused here, but benchmarks/workloads.py wraps both on this module.
 from .frame import to_frequency_domain, transmit  # noqa: F401
@@ -314,11 +313,12 @@ def _run_frame(cfg: ScenarioConfig, fc: FrameConfig, p_idx: int, f_idx: int) -> 
 
     A function of its own so that a frame's channel and statistics are freed
     before the next frame draws its own.  Every ``K x K`` kind reads the
-    same ``A^H A`` and ``A^H y``, so they are formed once per frame, from
-    the channel taps and the frame's noise draw, with no (N, M, K) stack
-    ``A``.  Only the ``M x M`` reference builds ``A`` and the received
-    samples, from the same noise draw.  Each kind still makes its own
-    ``detect_frame`` call, and so fails on its own.
+    same ``A^H A`` and ``A^H y``, so they are formed once per frame, with no
+    (N, M, K) stack ``A``: one pass of ``_tap_statistics`` over the channel
+    taps and the frame's noise draw gives ``G = A^H A`` and ``A^H w``, and
+    ``A^H y = G s + A^H w``.  Only the ``M x M`` reference builds ``A`` and
+    the received samples, from the same noise draw.  Each kind still makes
+    its own ``detect_frame`` call, and so fails on its own.
     """
     seed = cfg.channel.seed
     realization = draw_channel(replace(cfg.channel, seed=_stream_seed(seed, p_idx, f_idx, 0)))
@@ -336,8 +336,14 @@ def _run_frame(cfg: ScenarioConfig, fc: FrameConfig, p_idx: int, f_idx: int) -> 
         # reads nothing else of it; mc-sweep's traced run counts bins from it.
         bins = BinChannel(a=np.broadcast_to(np.complex128(0), (fc.frame_len, m_ant, k_usr)))
     if any(kind is not DetectorKind.MMSE for kind in cfg.detectors):
-        gram = _bin_grams(realization)
-        matched = _Matched(gram, _bin_matched(sf, realization, gram, noise))
+        gram, noise_matched = _tap_statistics(realization.taps, noise)
+        s_fd = np.fft.fft(sf.symbols, axis=1, norm="ortho").T[:, :, np.newaxis]  # (N, K, 1)
+        # The check below reports a non-finite A^H y, so NumPy need not warn.
+        with np.errstate(invalid="ignore", over="ignore"):
+            matched = np.matmul(gram, s_fd)[..., 0]
+            matched += noise_matched
+        _check_matched(matched)
+        matched = _Matched(gram, matched)
     del realization, noise
     sinr = {}
     for kind in cfg.detectors:

@@ -56,20 +56,22 @@ def frame_statistics(rf, bins):
 
 
 def edit_sweep_statistics(monkeypatch, edit):
-    """Have the sweep detect from statistics ``edit(gram, matched)`` changed in place.
+    """Have the sweep detect from statistics that ``edit(gram, matched)`` changed in place.
 
-    The sweep forms each frame's ``A^H A`` and ``A^H y`` from the taps, so a
+    The sweep forms each frame's ``A^H A`` and ``A^H w`` from the taps and
+    the noise in one kernel, then adds ``A^H A s`` to the second, so a
     channel fault is injected there: a dead user column ``k`` at bin ``n``
-    zeroes ``gram[n, k, :]``, ``gram[n, :, k]`` and ``matched[n, k]``.
+    zeroes ``gram[n, k, :]``, ``gram[n, :, k]`` and ``matched[n, k]``, and so
+    the sweep's ``A^H y`` at ``[n, k]``.
     """
-    original = harness._bin_matched
+    original = harness._tap_statistics
 
-    def bin_matched(sf, realization, gram, noise):
-        matched = original(sf, realization, gram, noise)
+    def tap_statistics(taps, signal):
+        gram, matched = original(taps, signal)
         edit(gram, matched)
-        return matched
+        return gram, matched
 
-    monkeypatch.setattr(harness, "_bin_matched", bin_matched)
+    monkeypatch.setattr(harness, "_tap_statistics", tap_statistics)
 
 
 def kill_column(gram, matched, n, k):

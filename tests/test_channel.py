@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
@@ -8,10 +10,12 @@ from fdmud.channel import (
     BinChannel,
     ChannelConfig,
     ChannelRealization,
-    _bin_grams,
+    _tap_statistics,
     draw_channel,
     to_bin_channels,
 )
+
+from fdmud.detect import _gram_and_matched
 
 from conftest import build_circulant, crandn, dft_matrix
 
@@ -237,8 +241,21 @@ def gram_shapes(draw):
     return m_ant, k_usr, frame_len, draw(st.integers(1, frame_len))
 
 
-class TestBinGrams:
-    """``A_n^H A_n`` from the taps' autocorrelation, against the product over ``A``."""
+def statistics_from_a(realization, signal):
+    """``A^H A`` and ``A^H y`` of the bin channels and the unitary DFT of ``signal``."""
+    a = to_bin_channels(realization).a
+    return _gram_and_matched(a, np.fft.fft(signal, axis=1, norm="ortho").T)
+
+
+def assert_statistics_agree(realization, signal):
+    gram, matched = _tap_statistics(realization.taps, signal)
+    for got, expected in zip((gram, matched), statistics_from_a(realization, signal)):
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+class TestTapStatistics:
+    """``A_n^H A_n`` and ``A_n^H y_n`` from the taps, against the products over ``A``."""
 
     @seed(20261019)
     @settings(max_examples=80, deadline=None)
@@ -246,16 +263,41 @@ class TestBinGrams:
     @example((4, 2, 8, 1), 0)  # L = 1: every bin holds the same Gram
     @example((5, 3, 9, 9), 1)  # 2L - 1 = 17 > N: lags fold modulo N
     @example((6, 3, 1, 1), 2)  # N = 1
-    def test_equals_the_gram_of_the_bin_channels(self, shape, rng_seed):
+    def test_equal_the_products_over_the_bin_channels(self, shape, rng_seed):
         m_ant, k_usr, frame_len, length = shape
         realization = draw_channel(
             ChannelConfig(m_ant, k_usr, frame_len, length, decay_samples=3.0, seed=rng_seed)
         )
-        a = to_bin_channels(realization).a
-        expected = a.conj().transpose(0, 2, 1) @ a
-        gram = _bin_grams(realization)
-        assert gram.shape == expected.shape
-        assert np.abs(gram - expected).max() <= 1e-13 * np.abs(expected).max()
+        signal = crandn(np.random.default_rng(rng_seed), m_ant, frame_len)
+        assert_statistics_agree(realization, signal)
+
+    # The kernel adds blocks of 16 antennas: M not a multiple of 16,
+    # 2L - 1 > N, and K = M - 1 over two blocks.
+    @pytest.mark.parametrize(
+        "m_ant, k_usr, frame_len, length",
+        [(37, 5, 300, 20), (40, 6, 64, 40), (17, 16, 128, 30)],
+    )
+    def test_blocks_of_antennas_add_up(self, m_ant, k_usr, frame_len, length):
+        realization = draw_channel(
+            ChannelConfig(m_ant, k_usr, frame_len, length, decay_samples=10.0, seed=m_ant)
+        )
+        signal = crandn(np.random.default_rng(length), m_ant, frame_len)
+        assert_statistics_agree(realization, signal)
+
+    def test_memory_stays_near_the_outputs(self):
+        # No M x P spectrum and no segments of the whole signal: at
+        # 256 x 8 x 1024, L = 130, the (N, K, K) and (N, K) outputs take
+        # 1.2 MB, and the (P, M, K) spectrum alone would take 8.7 MB.
+        realization = draw_channel(ChannelConfig(256, 8, 1024, 130, decay_samples=25.0, seed=1))
+        signal = crandn(np.random.default_rng(2), 256, 1024)
+        _tap_statistics(realization.taps, signal)  # one-time allocations out of the way
+        tracemalloc.start()
+        try:
+            gram, matched = _tap_statistics(realization.taps, signal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (gram.nbytes + matched.nbytes)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -263,11 +305,20 @@ class TestBinGrams:
         realization = draw_channel(small_config())
         realization.taps[1, 0, 2] = value
         with pytest.raises(ValueError, match=r"^bin 0: channel entries must be finite$"):
-            _bin_grams(realization)
+            _tap_statistics(realization.taps, np.ones((4, 32), dtype=complex))
 
     @pytest.mark.filterwarnings("error")
     def test_finite_taps_whose_gram_overflows(self):
         realization = draw_channel(small_config())
         realization.taps[1] *= 1e160  # finite taps; their squares are not
         with pytest.raises(ValueError, match=r"^bin 0: the channel's A\^H A overflows$"):
-            _bin_grams(realization)
+            _tap_statistics(realization.taps, np.ones((4, 32), dtype=complex))
+
+    @pytest.mark.filterwarnings("error")
+    def test_matched_overflow_names_the_first_bin(self):
+        realization = draw_channel(small_config(frame_len=8, channel_len=2))
+        realization.taps[...] *= 1e150  # a finite Gram of about 1e300
+        signal = np.zeros((4, 8), dtype=complex)
+        signal[:, 5] = 1e200  # a finite signal whose A^H y is not
+        with pytest.raises(ValueError, match=r"^bin 0: the matched-filter output A\^H y overflows$"):
+            _tap_statistics(realization.taps, signal)

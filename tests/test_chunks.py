@@ -8,14 +8,19 @@ import numpy as np
 import pytest
 
 from fdmud import detect, numerics, precode
-from fdmud.channel import BinChannel, ChannelConfig, _bin_grams, draw_channel, to_bin_channels
+from fdmud.channel import (
+    BinChannel,
+    ChannelConfig,
+    _tap_statistics,
+    draw_channel,
+    to_bin_channels,
+)
 from fdmud.detect import DetectorKind, detect_frame
 from fdmud.frame import (
     FrameConfig,
     ReceivedFrame,
     SymbolFrame,
     _awgn,
-    _bin_matched,
     generate_symbols,
     transmit,
     transmit_bins,
@@ -52,10 +57,8 @@ def every_output():
     sf = generate_symbols(3, N_BINS, "qpsk", rng)
     rf = transmit_bins(sf, bins, fc, rng)
     out = {"bins": bins.a, "received": rf.samples, "next_draw": rng.standard_normal(4)}
-    gram = _bin_grams(realization)
     noise = _awgn(6, N_BINS, fc.sigma_w2, np.random.default_rng(24))
-    out["statistics.gram"] = gram
-    out["statistics.matched"] = _bin_matched(sf, realization, gram, noise)
+    out["statistics.gram"], out["statistics.matched"] = _tap_statistics(realization.taps, noise)
     rng = np.random.default_rng(23)
     out["transmit"] = transmit(sf, realization, fc, rng).samples
     out["transmit.next_draw"] = rng.standard_normal(4)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from fdmud.channel import (
     ChannelConfig,
     ChannelRealization,
-    _bin_grams,
+    _tap_statistics,
     draw_channel,
     to_bin_channels,
 )
@@ -17,7 +17,6 @@ from fdmud.frame import (
     ReceivedFrame,
     SymbolFrame,
     _awgn,
-    _bin_matched,
     _next_fast_len,
     bin_vector,
     constellation_points,
@@ -210,39 +209,26 @@ class TestAwgn:
         assert np.array_equal(rng.standard_normal(4), old.standard_normal(4))
 
 
-class TestBinMatched:
-    """``A_n^H y_n`` from the taps, the Gram and the noise, with no ``A``."""
+class TestTapStatisticsOfReceivedFrames:
+    """The tap-domain statistics of a received time-domain frame, with no ``A``."""
 
     @seed(20261019)
     @settings(max_examples=60, deadline=None)
     @given(cp_scenarios())
-    def test_equals_the_product_over_the_received_bins(self, scenario):
+    def test_equal_the_products_over_the_received_bins(self, scenario):
         channel, fc, rng_seed = scenario
         realization = draw_channel(channel)
         sf = generate_symbols(
             channel.num_users, fc.frame_len, fc.constellation, np.random.default_rng(rng_seed)
         )
-        bins = to_bin_channels(realization)
-        rf = transmit_bins(sf, bins, fc, np.random.default_rng(rng_seed + 1))
-        noise = _awgn(channel.num_antennas, fc.frame_len, fc.sigma_w2, np.random.default_rng(rng_seed + 1))
-        matched = _bin_matched(sf, realization, _bin_grams(realization), noise)
-        _, expected = _gram_and_matched(bins.a, rf.samples.T)
-        assert matched.shape == expected.shape
-        assert np.abs(matched - expected).max() <= 1e-13 * np.abs(expected).max()
-
-    @pytest.mark.filterwarnings("error")
-    def test_overflow_names_the_first_bin(self, rng):
-        cfg = ChannelConfig(
-            num_antennas=4, num_users=2, frame_len=8, channel_len=2, decay_samples=1.0, seed=3
+        rf = transmit(sf, realization, fc, np.random.default_rng(rng_seed + 1))
+        gram, matched = _tap_statistics(realization.taps, rf.samples)
+        expected = _gram_and_matched(
+            to_bin_channels(realization).a, to_frequency_domain(rf).samples.T
         )
-        realization = draw_channel(cfg)
-        realization.taps[...] *= 1e150  # a finite Gram of about 1e300
-        gram = _bin_grams(realization)
-        sf = generate_symbols(2, 8, "qpsk", rng)
-        noise = np.zeros((4, 8), dtype=complex)
-        noise[:, 5] = 1e200  # a finite frame whose A^H w is not
-        with pytest.raises(ValueError, match=r"^bin 0: the matched-filter output A\^H y overflows$"):
-            _bin_matched(sf, realization, gram, noise)
+        for got, want in zip((gram, matched), expected):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestToFrequencyDomain:

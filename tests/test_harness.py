@@ -21,7 +21,7 @@ from fdmud.harness import (
 )
 from fdmud.numerics import DegenerateScaleError
 
-from conftest import edit_sweep_statistics, kill_column
+from conftest import edit_sweep_statistics, frame_statistics, kill_column
 
 
 def itemized_mmse(m, k):
@@ -279,22 +279,52 @@ class TestRunMonteCarlo:
 
     def test_gram_formed_once_per_frame(self, monkeypatch):
         formed = []
-        original = harness._bin_grams
+        original = harness._tap_statistics
 
-        def spy(realization):
-            formed.append(realization.config.frame_len)
-            return original(realization)
+        def spy(taps, signal):
+            formed.append(signal.shape[1])
+            return original(taps, signal)
 
         def from_a(a, y):
             raise AssertionError("the sweep formed A^H A from A")
 
-        monkeypatch.setattr(harness, "_bin_grams", spy)
+        monkeypatch.setattr(harness, "_tap_statistics", spy)
         monkeypatch.setattr(detect, "_gram_and_matched", from_a)
         report = run_monte_carlo(tiny_scenario(detectors=tuple(DetectorKind)))
         assert all(row.n_failures == 0 for row in report.rows)
         # 2 sweep points x 3 frames of 32 bins, each bin formed once for all
         # four K x K kinds
         assert sum(formed) == 6 * 32
+
+    def test_statistics_are_those_of_the_reference_frame(self, monkeypatch):
+        # A^H A and A^H y = G s + A^H w, formed from the taps and the noise
+        # over two blocks of antennas, against the products over the bins
+        # that transmit_bins builds from the same noise for the M x M kind.
+        seen = {}
+        original = harness.detect_frame
+
+        def detect_frame(rf, bins, sigma_w2, kind):
+            seen[kind] = rf, bins
+            return original(rf, bins, sigma_w2, kind)
+
+        monkeypatch.setattr(harness, "detect_frame", detect_frame)
+        channel = ChannelConfig(
+            num_antennas=20, num_users=3, frame_len=64, channel_len=5, decay_samples=2.0, seed=9
+        )
+        run_monte_carlo(
+            tiny_scenario(
+                channel=channel,
+                frame=FrameConfig(frame_len=64, cp_len=6),
+                detectors=(DetectorKind.MMSE, DetectorKind.MRC_MMSE),
+                snr_sweep_db=(0.0,),
+                frames_per_point=1,
+            )
+        )
+        statistics, _ = seen[DetectorKind.MRC_MMSE]
+        expected = frame_statistics(*seen[DetectorKind.MMSE])
+        for got, want in ((statistics.gram, expected.gram), (statistics.matched, expected.matched)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("reference", [False, True], ids=["k-by-k", "with-mmse"])
     def test_builds_the_bin_channels_only_for_the_reference(self, monkeypatch, reference):
