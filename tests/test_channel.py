@@ -241,17 +241,13 @@ def gram_shapes(draw):
     return m_ant, k_usr, frame_len, draw(st.integers(1, frame_len))
 
 
-def statistics_from_a(realization, signal):
-    """``A^H A`` and ``A^H y`` of the bin channels and the unitary DFT of ``signal``."""
-    a = to_bin_channels(realization).a
-    return _gram_and_matched(a, np.fft.fft(signal, axis=1, norm="ortho").T)
-
-
 def assert_statistics_agree(realization, signal):
-    gram, matched = _tap_statistics(realization.taps, signal)
-    for got, expected in zip((gram, matched), statistics_from_a(realization, signal)):
-        assert got.shape == expected.shape
-        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+    """The tap statistics against ``A^H A`` and ``A^H y``, ``y`` the unitary DFT of ``signal``."""
+    a = to_bin_channels(realization).a
+    expected = _gram_and_matched(a, np.fft.fft(signal, axis=1, norm="ortho").T)
+    for got, want in zip(_tap_statistics(realization.taps, signal), expected):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestTapStatistics:
