@@ -21,22 +21,21 @@ solve of the M x M MMSE kernel loops over bins.  Every unbiasing reciprocal
 goes through one guard that names the first bin whose gain vanishes.  The
 MRC-MMSE kernel also returns its per-bin regularized Gram inverses and
 per-user unbiasing coefficients so the downlink precoder can reuse both.
-``detect_frame`` collects them into an ``InverseCache`` only when it detects
-from the received frame, the TDD path that precodes next; from the shared
-statistics below, which only the Monte-Carlo sweep passes, it returns no
-cache, and the sweep holds no (N, K, K) inverse stack per frame.
+``detect_frame`` collects them into an ``InverseCache``, in the buffer of
+the frame's own Gram, only when it detects from the received frame, the
+TDD path that precodes next; from the shared statistics below, which only
+the Monte-Carlo sweep passes, it returns no cache.
 
 Every K x K kind reads only ``A^H A``, ``A^H y`` and the noise variance.
-``detect_frame`` runs them in chunks of bins at two levels: the K x K work
-on chunks sized by the (n, K, K) stack, since ``invert_hpd`` costs a fixed
-amount per call, each forming its ``A^H A`` and ``A^H y`` in smaller chunks
-sized by ``A``.  At 64 x 14 x 2048 that is 7 chunks of about 290 bins, in 4
-sub-chunks each; at 128 x 16 x 512, 2 inverse calls where chunks sized by
-``A`` alone made 19.  A caller running several K x K kinds on one frame
-forms the two statistics once, as a ``_Matched``, and passes them to
-``detect_frame`` in place of the received frame, which then slices them by
-the same chunks.  The Monte-Carlo sweep forms them from the channel taps
-and its noise draw, in one pass over blocks of antennas
+Given the received frame, ``detect_frame`` forms both for the whole frame
+in chunks of bins sized by ``A``, then runs the kind on chunks sized by the
+(n, K, K) stack, since ``invert_hpd`` costs a fixed amount per call: 7
+chunks of about 290 bins at 64 x 14 x 2048, and 2 inverse calls at
+128 x 16 x 512 where chunks sized by ``A`` would make 19.  A caller running
+several K x K kinds on one frame forms the statistics once, as a
+``_Matched``, and passes them in place of the received frame; they are
+read, never written.  The Monte-Carlo sweep forms them from the channel
+taps and its noise draw, in one pass over blocks of antennas
 (``channel._tap_statistics``), without building ``A`` at all, and passes a
 shape-only ``BinChannel`` whose ``a`` the statistics path never reads.  The
 M x M MMSE kernel runs on chunks sized by its (n, M, M) covariance stack:
@@ -356,8 +355,8 @@ def detect_frame(
     ``rf`` is the received frame, in the frequency domain.  For the K x K
     kinds it may instead be the frame's statistics, a ``_Matched``, which a
     caller running several of them on one frame forms once; statistics
-    formed by ``_gram_and_matched`` give the same bytes, and only the shape
-    of ``bc.a`` is read.  Bins are processed
+    formed by ``_gram_and_matched`` give the same bytes, they are never
+    written, and only the shape of ``bc.a`` is read.  Bins are processed
     independently; ``TR_MRC`` and ``LOW_SNR`` are the same estimator.
     For ``DetectorKind.MRC_MMSE`` from the received frame, the per-bin
     K x K inverses and unbiasing coefficients are collected into an
@@ -373,6 +372,7 @@ def detect_frame(
         raise ValueError(f"unknown detector kind: {kind!r}")
     a = np.asarray(bc.a)
     n_bins, _, k_usr = a.shape
+    cache = None
     if isinstance(rf, _Matched):
         if kind is DetectorKind.MMSE:
             raise ValueError("the MMSE detector needs the received frame, not its statistics")
@@ -381,43 +381,34 @@ def detect_frame(
                 f"statistics shapes {rf.gram.shape} and {rf.matched.shape} "
                 f"do not match bin channels {a.shape}"
             )
-
-        def stats(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-            return rf.gram[lo:hi], rf.matched[lo:hi]
-
+        gram, matched = rf.gram, rf.matched
     else:
         y = _received(rf, a)
+        if kind is not DetectorKind.MMSE:
+            gram, matched = _gram_and_matched(a, y)
+        if kind is DetectorKind.MRC_MMSE:
+            # The TDD path keeps the inverses, each chunk's in its Gram once
+            # read.  A chunk that raises writes nothing, so the rerun that
+            # names its bin meets that bin's Gram.
+            cache = InverseCache(inv=gram, sigma_w2=float(sigma_w2), unbias=np.empty(matched.shape))
 
-        def stats(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-            return _gram_and_matched(a[lo:hi], y[lo:hi])
-
-    cache = None
     if kind is DetectorKind.MMSE:
         est = _mmse(a, y, sigma_w2)
     else:
         est = np.empty((n_bins, k_usr), dtype=np.complex128)
-        # Only detection from the received frame keeps MRC-MMSE's inverses:
-        # that is the TDD path, which precodes with them.  Held for a whole
-        # frame they are an (N, K, K) stack, as large as A^H A itself.
-        if kind is DetectorKind.MRC_MMSE and not isinstance(rf, _Matched):
-            cache = InverseCache(
-                inv=np.empty((n_bins, k_usr, k_usr), dtype=np.complex128),
-                sigma_w2=float(sigma_w2),
-                unbias=np.empty((n_bins, k_usr)),
-            )
 
         def run(lo: int, hi: int) -> None:
-            gram, matched = stats(lo, hi)
+            g, z = gram[lo:hi], matched[lo:hi]
             if kind is DetectorKind.MRC_MMSE:
-                est[lo:hi], inverses, unbias = _mrc_mmse(gram, matched, sigma_w2)
+                est[lo:hi], inverses, unbias = _mrc_mmse(g, z, sigma_w2)
                 if cache is not None:
                     cache.inv[lo:hi], cache.unbias[lo:hi] = inverses, unbias
             elif kind is DetectorKind.HIGH_SNR_ZF:
-                est[lo:hi] = _zf(gram, matched)
+                est[lo:hi] = _zf(g, z)
             else:
                 # TR-MRC, ``(1/M) A^H y`` scaled per user by ``M / diag(A^H A)``,
                 # which is also the noise-dominated limit of unbiased MMSE.
-                est[lo:hi] = _unbias(np.diagonal(gram, axis1=1, axis2=2).real) * matched
+                est[lo:hi] = _unbias(np.diagonal(g, axis1=1, axis2=2).real) * z
 
         _split(n_bins, run, n_bins * k_usr * k_usr)
 

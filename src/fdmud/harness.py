@@ -212,6 +212,9 @@ class ScenarioConfig:
                 raise ValueError(f"SNR sweep point {idx} ({snr_db} dB) is not finite")
         if len(self.detectors) == 0:
             raise ValueError("at least one detector kind is required")
+        for idx, kind in enumerate(self.detectors):
+            if kind in self.detectors[:idx]:
+                raise ValueError(f"detector kind {kind.value!r} is repeated")
 
 
 def build_scenario(values: dict) -> ScenarioConfig:

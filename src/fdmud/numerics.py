@@ -22,12 +22,12 @@ NumPy-only stacked solve, which needs no SciPy, made the crosscheck
 benchmark op 13% slower, though it cut peak RSS by 21%.
 
 All operations are pure functions on immutable inputs and are safe to call
-concurrently.  ``_split`` runs each frame stage on cache-sized contiguous
-chunks of bins (or of antennas), sized by the arrays the stage reads; the
-``K x K`` stages that call ``invert_hpd``, whose triangular inverse costs a
-fixed amount per call, size theirs by their ``(n, K, K)`` stacks, and the
-``M x M`` reference by its ``(n, M, M)`` covariance stack.  Scalars are
-double precision throughout.
+concurrently.  ``_split`` runs each frame stage on one level of
+cache-sized contiguous chunks of bins (or of antennas), sized by the arrays
+the stage reads; the ``K x K`` stages that call ``invert_hpd``, whose
+triangular inverse costs a fixed amount per call, size theirs by their
+``(n, K, K)`` stacks, and the ``M x M`` reference by its ``(n, M, M)``
+covariance stack.  Scalars are double precision throughout.
 """
 
 from __future__ import annotations

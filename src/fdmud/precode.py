@@ -7,10 +7,11 @@ convention: the noiseless end-to-end gain of each user is unity before the
 per-user amplitude allocation is applied, and they equal the uplink
 MRC-MMSE unbiasing coefficients.  So precoding from an
 :class:`~fdmud.detect.InverseCache` costs a conjugation and forms no
-downlink Gram at all.  The direct path forms its own Gram stack and inverts
-it with one stacked call per chunk of bins, on chunks sized by the
-``(n, K, K)`` stack as in ``detect_frame``; its agreement with the cache
-path is the cross-check the test suite runs.
+downlink Gram at all.  The direct path forms its own Gram stack in chunks
+of bins sized by ``A``, then inverts it in chunks sized by the
+``(n, K, K)`` stack, as in ``detect_frame``; its agreement with the cache
+path is the cross-check the test suite runs.  Both paths steer in chunks
+sized by ``A``.
 
 The precoder algebra is written once, over a whole stack of bins, in
 ``precode_frame``; one bin is the N = 1 frame (a length-1 unitary DFT is the
@@ -113,34 +114,35 @@ def precode_frame(
             raise ValueError(
                 f"cache was built for sigma_w2={cache.sigma_w2}, precoder asked for {sigma_w2}"
             )
-    x = np.empty((n_bins, m_ant), dtype=np.complex128)
-    cached_beta = cache is not None and cache.unbias is not None
-    beta = cache.unbias if cached_beta else np.empty((n_bins, k_usr))
+    # One level of chunks per stage, each sized by the arrays it reads.  The
+    # steering stage reads the downlink inverses conjugated, as the cache
+    # holds them, and conjugating back is exact.  Without cached scalars the
+    # stack first holds the downlink Gram, each chunk's until it is read.
+    inv_conj, beta = (None, None) if cache is None else (cache.inv, cache.unbias)
+    if beta is None:
+        inv_conj = np.empty((n_bins, k_usr, k_usr), dtype=np.complex128)
+        beta = np.empty((n_bins, k_usr))
+        reg = sigma_w2 * np.eye(k_usr)
 
-    # Chunks sized by the (n, K, K) stack, as detect_frame's K x K stage is;
-    # within each, the products that read A run in smaller chunks sized by A.
-    def run(lo: int, hi: int) -> None:
-        a_c, x_c = a[lo:hi], x[lo:hi]
-        dl_inv = None if cache is None else np.conj(cache.inv[lo:hi])
-        if not cached_beta:
-            gram_dl = np.empty((hi - lo, k_usr, k_usr), dtype=np.complex128)
+        def form(lo: int, hi: int) -> None:
+            inv_conj[lo:hi] = np.matmul(a[lo:hi].transpose(0, 2, 1), a[lo:hi].conj())  # A^T A^*
 
-            def form(i: int, j: int) -> None:
-                gram_dl[i:j] = np.matmul(a_c[i:j].transpose(0, 2, 1), a_c[i:j].conj())  # A^T A^*
-
-            _split(hi - lo, form, a_c.size)
-            if dl_inv is None:
-                dl_inv = invert_hpd(gram_dl + sigma_w2 * np.eye(k_usr))
+        def invert(lo: int, hi: int) -> None:
+            gram_dl = inv_conj[lo:hi]
+            dl_inv = invert_hpd(gram_dl + reg) if cache is None else np.conj(cache.inv[lo:hi])
             beta[lo:hi] = _unbias(diag_of_product(gram_dl, dl_inv).real)
-        v_conj = np.matmul(
-            dl_inv, (power.p_sqrt * beta[lo:hi] * s_fd[lo:hi])[:, :, np.newaxis]
-        ).conj()
+            np.conj(dl_inv, out=gram_dl)
 
-        def steer(i: int, j: int) -> None:
-            # A^* v as conj(A conj(v)): the same products, without a conjugated copy of A.
-            x_c[i:j] = np.matmul(a_c[i:j], v_conj[i:j]).conj()[..., 0]
+        _split(n_bins, form, a.size)
+        _split(n_bins, invert, n_bins * k_usr * k_usr)
 
-        _split(hi - lo, steer, a_c.size)
+    x = np.empty((n_bins, m_ant), dtype=np.complex128)
 
-    _split(n_bins, run, n_bins * k_usr * k_usr)
+    def steer(lo: int, hi: int) -> None:
+        scaled = power.p_sqrt * beta[lo:hi] * s_fd[lo:hi]
+        v = np.matmul(np.conj(inv_conj[lo:hi]), scaled[:, :, np.newaxis])
+        # A^* v as conj(A conj(v)): the same products, without a conjugated copy of A.
+        x[lo:hi] = np.matmul(a[lo:hi], v.conj()).conj()[..., 0]
+
+    _split(n_bins, steer, a.size)
     return PrecodeResult(x=x.T, beta_used=beta.T)

@@ -97,15 +97,16 @@ def dead_column_frame(rng, bad_bins, m_ant=4, k_usr=2, n_bins=12):
     return BinChannel(a=a), rf, sf
 
 
-# The K x K stages run in chunks sized by their (n, K, K) stacks, and form
-# their Gram stacks in sub-chunks sized by A.  At 32 x 14 x 200 the K x K
-# stack has 39,200 entries and each half of the frame reads 48,000 entries
-# of A and y (44,800 of A alone in the precoder), so a minimum of 100 bins of
-# 14 x 14 makes two K x K chunks of 100 bins, each run in two sub-chunks of
-# 50.  From 84 bins of 14 x 14 up, NumPy lays out ``inv + inv^H`` column-major
-# unless told otherwise, so one-bin chunks are compared as well.
-TWO_LEVEL = dict(m_ant=32, k_usr=14, n_bins=200)
-TWO_LEVEL_MIN = 100 * 14 * 14
+# Each stage runs on one level of chunks: the K x K stages on chunks sized
+# by their (n, K, K) stacks, and the products that read A (the Gram and
+# matched-filter products, the precoder's A^T A^* and its steering) on
+# chunks sized by A.  At 32 x 14 x 200 the K x K stack has 39,200 entries, A
+# and y 96,000 and A alone 89,600, so a minimum of 100 bins of 14 x 14 makes
+# two K x K chunks of 100 bins and four chunks of 50 for every stage that
+# reads A.  From 84 bins of 14 x 14 up, NumPy lays out ``inv + inv^H``
+# column-major unless told otherwise, so one-bin chunks are compared as well.
+STAGED = dict(m_ant=32, k_usr=14, n_bins=200)
+STAGED_MIN = 100 * 14 * 14
 
 
 @pytest.fixture
@@ -137,7 +138,7 @@ def k_by_k_outputs(bins, rf, sf):
     }
 
 
-@pytest.mark.parametrize("min_chunk", [TWO_LEVEL_MIN, 1])
+@pytest.mark.parametrize("min_chunk", [STAGED_MIN, 1])
 def test_k_by_k_stages_do_not_depend_on_chunks(split, rng, chunk_log, min_chunk):
     frame = (
         BinChannel(a=crandn(rng, 200, 32, 14)),
@@ -150,22 +151,23 @@ def test_k_by_k_stages_do_not_depend_on_chunks(split, rng, chunk_log, min_chunk)
     del chunk_log[:]
     for name, value in k_by_k_outputs(*frame).items():
         assert np.array_equal(value, expected[name]), f"{name} differs"
-    if min_chunk == TWO_LEVEL_MIN:
-        halves = [(200, [100, 100])] + [(100, [50, 50])] * 2
-        # MRC-MMSE and ZF form A^H A and A^H y; the precoder forms A^T A^*,
-        # then steers each half through A.
-        assert chunk_log == halves + [(200, [100, 100])] + [(100, [50, 50])] * 4 + halves
+    if min_chunk == STAGED_MIN:
+        # MRC-MMSE and ZF form A^H A and A^H y, then detect; the precoder
+        # forms A^T A^*, inverts it, then steers through A.  Every stage
+        # splits the whole frame, and none splits inside another's chunk.
+        quarters, halves = (200, [50] * 4), (200, [100, 100])
+        detection = [quarters, halves]
+        assert chunk_log == detection + [quarters, halves, quarters] + detection
 
 
-@pytest.mark.parametrize(
-    "min_chunk", [None, TWO_LEVEL_MIN, 1], ids=["default", "two-level", "one-bin"]
-)
+@pytest.mark.parametrize("min_chunk", [None, STAGED_MIN, 1], ids=["default", "staged", "one-bin"])
 def test_statistics_give_the_bytes_of_the_received_frame(split, rng, min_chunk):
     if min_chunk is not None:
         split(min_chunk)
     bins = BinChannel(a=crandn(rng, 200, 32, 14))
     rf = ReceivedFrame(samples=crandn(rng, 32, 200), domain="frequency")
     matched = frame_statistics(rf, bins)
+    gram_before, matched_before = matched.gram.copy(), matched.matched.copy()
     for kind in (
         DetectorKind.MRC_MMSE,
         DetectorKind.TR_MRC,
@@ -179,6 +181,10 @@ def test_statistics_give_the_bytes_of_the_received_frame(split, rng, min_chunk):
         # the path that precodes; the statistics serve the sweep, which does not.
         assert result.cache is None, kind
         assert (expected.cache is not None) == (kind is DetectorKind.MRC_MMSE), kind
+    # That cache takes the buffer of the frame's own Gram; statistics handed
+    # in belong to the caller and are never written.
+    assert matched.gram.tobytes() == gram_before.tobytes()
+    assert matched.matched.tobytes() == matched_before.tobytes()
 
 
 @pytest.mark.parametrize("min_chunk", [None, 1], ids=["default", "one-bin"])
@@ -201,25 +207,25 @@ def test_statistics_read_only_the_shape_of_the_bin_channels(split, rng, min_chun
         assert np.array_equal(detect_frame(matched, shape_only, 0.1, kind).s_hat_time, expected)
 
 
-class TestTwoLevelErrorsNameTheGlobalBin:
-    """Bin 170 sits in the second sub-chunk of the second K x K chunk."""
+class TestStagedErrorsNameTheGlobalBin:
+    """Bin 170 sits in the second K x K chunk and the fourth chunk sized by A."""
 
     def test_zero_power_column_in_mrc_mmse(self, split, rng):
-        split(TWO_LEVEL_MIN)
-        bins, rf, _ = dead_column_frame(rng, (170,), **TWO_LEVEL)
+        split(STAGED_MIN)
+        bins, rf, _ = dead_column_frame(rng, (170,), **STAGED)
         with pytest.raises(DegenerateScaleError, match=r"^bin 170: "):
             detect_frame(rf, bins, 0.1, DetectorKind.MRC_MMSE)
 
     def test_singular_gram_in_zero_forcing(self, split, rng):
-        split(TWO_LEVEL_MIN)
-        bins, rf, _ = dead_column_frame(rng, (170,), **TWO_LEVEL)
+        split(STAGED_MIN)
+        bins, rf, _ = dead_column_frame(rng, (170,), **STAGED)
         with pytest.raises(SingularMatrixError, match=r"^bin 170: ") as info:
             detect_frame(rf, bins, 0.0, DetectorKind.HIGH_SNR_ZF)
         assert info.value.index == 170
 
     def test_singular_gram_in_direct_precoder(self, split, rng):
-        split(TWO_LEVEL_MIN)
-        bins, _, sf = dead_column_frame(rng, (170,), **TWO_LEVEL)
+        split(STAGED_MIN)
+        bins, _, sf = dead_column_frame(rng, (170,), **STAGED)
         with pytest.raises(SingularMatrixError, match=r"^bin 170: ") as info:
             precode_frame(sf, bins, 0.0)
         assert info.value.index == 170

@@ -173,6 +173,13 @@ class TestSimulate:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_repeated_detector_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "sinr.csv"
+        rc = main(["simulate", *FAST_ARGS, "--detectors", "mrc_mmse,mrc_mmse", "--output", str(out)])
+        assert rc == 2
+        assert "error: detector kind 'mrc_mmse' is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_sweep_point_fails_cleanly(self, capsys):
         rc = main(["simulate", *FAST_ARGS, "--snr-sweep", "0,nan"])
         assert rc == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -453,6 +455,22 @@ class TestDetectFrame:
             detect_frame(short, bins, 0.1, DetectorKind.TR_MRC)
         with pytest.raises(ValueError, match="needs the received frame"):
             detect_frame(matched, bins, 0.1, DetectorKind.MMSE)
+
+    def test_mrc_mmse_from_the_frame_holds_one_k_by_k_stack(self, rng):
+        # The inverse cache takes the buffer of the frame's own Gram, so at
+        # 64 x 14 x 2048 the call holds one (N, K, K) stack, 6.4 MB, beside
+        # chunk-sized work: 12.3 MB in all.  A whole Gram beside a separate
+        # cache peaks at 18.7 MB.
+        bins = BinChannel(a=crandn(rng, 2048, 64, 14))
+        rf = ReceivedFrame(samples=crandn(rng, 64, 2048), domain="frequency")
+        detect_frame(rf, bins, 0.1, DetectorKind.MRC_MMSE)  # one-time allocations out of the way
+        tracemalloc.start()
+        try:
+            result = detect_frame(rf, bins, 0.1, DetectorKind.MRC_MMSE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * result.cache.inv.nbytes
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_gain_named_apart_from_a_vanishing_one(self, value):

@@ -408,6 +408,11 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError):
             tiny_scenario(detectors=())
 
+    def test_repeated_detector_kind_rejected(self):
+        kinds = (DetectorKind.MRC_MMSE, DetectorKind.TR_MRC, DetectorKind.MRC_MMSE)
+        with pytest.raises(ValueError, match=r"^detector kind 'mrc_mmse' is repeated$"):
+            tiny_scenario(detectors=kinds)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_sweep_point_rejected(self, bad):
         with pytest.raises(ValueError, match=r"point 1 \((nan|inf|-inf) dB\)"):
