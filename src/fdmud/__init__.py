@@ -39,7 +39,7 @@ from .harness import (
     theoretical_gains,
 )
 from .numerics import DegenerateScaleError, SingularMatrixError, diag_of_product, invert_hpd
-from .precode import PowerAllocation, PrecodeResult, precode_frame
+from .precode import PrecodeResult, precode_frame
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "DetectorKind",
     "FrameConfig",
     "InverseCache",
-    "PowerAllocation",
     "PrecodeResult",
     "ReceivedFrame",
     "ScenarioConfig",

@@ -204,25 +204,14 @@ def transmit_bins(sf: SymbolFrame, bins: BinChannel, fc: FrameConfig, rng) -> Re
 def _transmit_bins(sf: SymbolFrame, bins: BinChannel, fc: FrameConfig, noise) -> ReceivedFrame:
     """:func:`transmit_bins` with its time-domain noise (M, N) already drawn."""
     symbols = np.asarray(sf.symbols)
-    n_bins, m_ant, k_usr = bins.a.shape
+    n_bins, _, k_usr = bins.a.shape
     _check_frame(symbols, k_usr, fc)
     if n_bins != fc.frame_len:
         raise ValueError(f"bin count mismatch: channel has {n_bins}, config has {fc.frame_len}")
 
     s_fd = np.fft.fft(symbols, axis=1, norm="ortho").T[:, :, np.newaxis]  # (N, K, 1)
-    signal = np.empty((n_bins, m_ant, 1), dtype=np.complex128)
-
-    def bins_run(lo: int, hi: int) -> None:
-        np.matmul(bins.a[lo:hi], s_fd[lo:hi], out=signal[lo:hi])
-
-    _split(n_bins, bins_run, bins.a.size + s_fd.size)
-    signal = signal[..., 0].T  # (M, N)
-    samples = np.empty((m_ant, n_bins), dtype=np.complex128)
-
-    def antennas_run(lo: int, hi: int) -> None:
-        np.add(signal[lo:hi], np.fft.fft(noise[lo:hi], axis=1, norm="ortho"), out=samples[lo:hi])
-
-    _split(m_ant, antennas_run, signal.size + noise.size)
+    samples = np.fft.fft(noise, axis=1, norm="ortho")  # (M, N)
+    samples += np.matmul(bins.a, s_fd)[..., 0].T
     return ReceivedFrame(samples=samples, domain=FREQUENCY)
 
 

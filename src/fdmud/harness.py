@@ -382,7 +382,6 @@ def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
     for p_idx, snr_db in enumerate(cfg.snr_sweep_db):
         fc = replace(cfg.frame, snr_db=float(snr_db))
         sinr_acc = {kind: [] for kind in cfg.detectors}
-        frames_ok = {kind: 0 for kind in cfg.detectors}
         failures = {kind: 0 for kind in cfg.detectors}
         for f_idx in range(cfg.frames_per_point):
             for kind, sinr in _run_frame(cfg, fc, p_idx, f_idx).items():
@@ -390,7 +389,6 @@ def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
                     failures[kind] += 1
                 else:
                     sinr_acc[kind].append(sinr)
-                    frames_ok[kind] += 1
         for kind in cfg.detectors:
             per_user = np.concatenate(sinr_acc[kind]) if sinr_acc[kind] else np.array([])
             finite = per_user[np.isfinite(per_user)]
@@ -409,7 +407,7 @@ def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
                     gain_db=float(mean_db - snr_db),
                     gain_low_db=float(gain_low_db),
                     gain_high_db=float(gain_high_db),
-                    n_frames=frames_ok[kind],
+                    n_frames=len(sinr_acc[kind]),
                     n_failures=failures[kind],
                 )
             )

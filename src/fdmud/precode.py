@@ -3,9 +3,8 @@
 In a TDD system the downlink per-bin inverse ``(A^T A^* + sigma_w2 I)^-1`` is
 the entry-wise complex conjugate of the uplink inverse already computed by
 the MRC-MMSE detector.  Per-user unbiasing scalars mirror the uplink
-convention: the noiseless end-to-end gain of each user is unity before the
-per-user amplitude allocation is applied, and they equal the uplink
-MRC-MMSE unbiasing coefficients.  So precoding from an
+convention: the noiseless end-to-end gain of each user is unity, and they
+equal the uplink MRC-MMSE unbiasing coefficients.  So precoding from an
 :class:`~fdmud.detect.InverseCache` costs a conjugation and forms no
 downlink Gram at all.  The direct path forms its own Gram stack in chunks
 of bins sized by ``A``, then inverts it in chunks sized by the
@@ -31,32 +30,9 @@ from .frame import SymbolFrame
 from .numerics import _split, diag_of_product, invert_hpd
 
 __all__ = [
-    "PowerAllocation",
     "PrecodeResult",
     "precode_frame",
 ]
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Per-user amplitude scalars (the diagonal of the power-allocation root).
-
-    The all-ones default transmits equal power toward every user.
-    """
-
-    p_sqrt: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p_sqrt, dtype=np.float64)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("p_sqrt must be a nonempty 1-D vector")
-        if not np.all(p > 0):
-            raise ValueError("p_sqrt entries must be positive")
-        object.__setattr__(self, "p_sqrt", p)
-
-    @classmethod
-    def uniform(cls, num_users: int) -> "PowerAllocation":
-        return cls(p_sqrt=np.ones(num_users))
 
 
 @dataclass(frozen=True)
@@ -71,13 +47,12 @@ def precode_frame(
     sf: SymbolFrame,
     bc: BinChannel,
     sigma_w2: float,
-    power: Optional[PowerAllocation] = None,
     cache: Optional[InverseCache] = None,
 ) -> PrecodeResult:
     """Precode a whole symbol frame into M frequency-domain transmit streams.
 
     Symbols are transformed per user with the unitary DFT and each bin is
-    precoded independently as ``x_n = A_n^* dl_inv_n P^(1/2) (beta_n o s_n)``,
+    precoded independently as ``x_n = A_n^* dl_inv_n (beta_n o s_n)``,
     with ``beta`` the per-user scale making the noiseless end-to-end downlink
     gain unity.  When ``cache`` is given, the downlink inverses are its
     conjugated entries and the unbiasing scalars its ``unbias``; otherwise
@@ -99,10 +74,6 @@ def precode_frame(
     n_bins, m_ant, k_usr = a.shape
     if symbols.shape != (k_usr, n_bins):
         raise ValueError(f"symbol frame {symbols.shape} does not match bin channels {a.shape}")
-    if power is None:
-        power = PowerAllocation.uniform(k_usr)
-    if power.p_sqrt.shape != (k_usr,):
-        raise ValueError(f"power allocation has {power.p_sqrt.size} entries, need {k_usr}")
 
     s_fd = np.fft.fft(symbols, axis=1, norm="ortho").T  # (N, K)
 
@@ -139,7 +110,7 @@ def precode_frame(
     x = np.empty((n_bins, m_ant), dtype=np.complex128)
 
     def steer(lo: int, hi: int) -> None:
-        scaled = power.p_sqrt * beta[lo:hi] * s_fd[lo:hi]
+        scaled = beta[lo:hi] * s_fd[lo:hi]
         v = np.matmul(np.conj(inv_conj[lo:hi]), scaled[:, :, np.newaxis])
         # A^* v as conj(A conj(v)): the same products, without a conjugated copy of A.
         x[lo:hi] = np.matmul(a[lo:hi], v.conj()).conj()[..., 0]

@@ -15,7 +15,6 @@ PACKAGE_EXPORTS = {
     "DetectorKind",
     "FrameConfig",
     "InverseCache",
-    "PowerAllocation",
     "PrecodeResult",
     "ReceivedFrame",
     "ScenarioConfig",
@@ -49,7 +48,7 @@ MODULES = ["fdmud"] + [f"fdmud.{info.name}" for info in pkgutil.iter_modules(fdm
 
 
 def test_package_exports_are_pinned():
-    assert len(fdmud.__all__) == len(set(fdmud.__all__)) == 37
+    assert len(fdmud.__all__) == len(set(fdmud.__all__)) == 36
     assert set(fdmud.__all__) == PACKAGE_EXPORTS
 
 

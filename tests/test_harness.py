@@ -268,6 +268,37 @@ class TestRunMonteCarlo:
         lines = [l for l in report.to_csv().splitlines() if not l.startswith("#")]
         assert sorted(l.split(",")[-1] for l in lines[1:]) == ["0", "0", "3", "3"]
 
+    def test_partly_failing_detector_averages_its_detected_frames(self, monkeypatch):
+        # TR-MRC fails on every second of its six frames: 2 of 3 are detected
+        # at the first point and 1 of 3 at the second
+        original_detect, original_sinr = harness.detect_frame, harness.measure_sinr
+        tr_mrc_calls = []
+        detected = {kind: [] for kind in DetectorKind}
+
+        def detect_frame(rf, bins, sigma_w2, kind):
+            if kind is DetectorKind.TR_MRC:
+                tr_mrc_calls.append(kind)
+                if len(tr_mrc_calls) % 2 == 0:
+                    raise DegenerateScaleError("bin 0: zero-power channel column")
+            return original_detect(rf, bins, sigma_w2, kind)
+
+        def measure_sinr(result, truth):
+            sinr = original_sinr(result, truth)
+            detected[result.kind].append(sinr)
+            return sinr
+
+        monkeypatch.setattr(harness, "detect_frame", detect_frame)
+        monkeypatch.setattr(harness, "measure_sinr", measure_sinr)
+        report = run_monte_carlo(tiny_scenario())
+        expected = {DetectorKind.TR_MRC: [(2, 1), (1, 2)], DetectorKind.MRC_MMSE: [(3, 0), (3, 0)]}
+        for kind, counts in expected.items():
+            rows = [row for row in report.rows if row.detector is kind]
+            assert [(row.n_frames, row.n_failures) for row in rows] == counts
+            first = counts[0][0]
+            for row, frames in zip(rows, (detected[kind][:first], detected[kind][first:])):
+                mean_db = 10.0 * np.log10(np.concatenate(frames).mean())
+                assert row.mean_output_sinr_db == pytest.approx(mean_db, rel=1e-12)
+
     def test_zero_power_column_counts_as_mrc_mmse_failure(self, monkeypatch, recwarn):
         # a dead user column at bin 3 fails MRC-MMSE on every frame instead
         # of feeding a nan SINR into the average

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from fdmud.channel import BinChannel, ChannelConfig, draw_channel, to_bin_channels
 from fdmud.detect import DetectorKind, InverseCache, detect_frame
 from fdmud.frame import FrameConfig, SymbolFrame, generate_symbols, to_frequency_domain, transmit
 from fdmud.numerics import DegenerateScaleError, SingularMatrixError, invert_hpd
-from fdmud.precode import PowerAllocation, precode_frame
+from fdmud.precode import precode_frame
 
 from conftest import crandn
 
@@ -18,22 +17,22 @@ def ul_cache(a_stack, sigma_w2):
     return InverseCache(inv=inv, sigma_w2=sigma_w2)
 
 
-def precode_bin(a_n, s_n, sigma_w2, power=None):
+def precode_bin(a_n, s_n, sigma_w2):
     """One bin through ``precode_frame`` as the N = 1 frame: its M transmit samples.
 
     A length-1 unitary DFT is the identity, so the symbols are the bin's own.
     """
     sf = SymbolFrame(symbols=np.asarray(s_n)[:, np.newaxis])
-    return precode_frame(sf, BinChannel(a=np.asarray(a_n)[np.newaxis]), sigma_w2, power).x[:, 0]
+    return precode_frame(sf, BinChannel(a=np.asarray(a_n)[np.newaxis]), sigma_w2).x[:, 0]
 
 
-def precode_oracle(a_n, s_n, sigma_w2, p_sqrt):
-    """Independently coded per-bin MMSE precoder: x = A^* (A^T A^* + s I)^-1 P^(1/2) (beta o s)."""
+def precode_oracle(a_n, s_n, sigma_w2):
+    """Independently coded per-bin MMSE precoder: x = A^* (A^T A^* + s I)^-1 (beta o s)."""
     k = a_n.shape[1]
     gram_dl = a_n.T @ a_n.conj()
     dl_inv = np.linalg.inv(gram_dl + sigma_w2 * np.eye(k))
     beta = 1.0 / np.diag(gram_dl @ dl_inv).real
-    return a_n.conj() @ (dl_inv @ (p_sqrt * beta * s_n))
+    return a_n.conj() @ (dl_inv @ (beta * s_n))
 
 
 class TestMmsePrecodeBin:
@@ -52,15 +51,6 @@ class TestMmsePrecodeBin:
         x = precode_bin(a, s, sigma_w2)
         assert np.abs(a.T @ x - s).max() <= 1e-5
 
-    def test_power_allocation_scales_received_amplitudes(self, rng):
-        sigma_w2 = 1e-10
-        a = crandn(rng, 4, 2)
-        s = crandn(rng, 2)
-        power = PowerAllocation(p_sqrt=np.array([2.0, 1.0]))
-        x = precode_bin(a, s, sigma_w2, power)
-        received = a.T @ x
-        assert np.abs(received - np.array([2.0, 1.0]) * s).max() <= 1e-5
-
     def test_unit_gain_with_noise(self, rng):
         # the unbiasing convention: unit diagonal end-to-end gain at any noise level
         a = crandn(rng, 5, 3)
@@ -75,19 +65,6 @@ class TestMmsePrecodeBin:
         a = crandn(rng, 4, 2)
         with pytest.raises(ValueError):
             precode_bin(a, crandn(rng, 3), 0.1)
-        with pytest.raises(ValueError):
-            precode_bin(a, crandn(rng, 2), 0.1, PowerAllocation.uniform(3))
-
-
-class TestPowerAllocation:
-    def test_uniform(self):
-        assert_allclose(PowerAllocation.uniform(3).p_sqrt, np.ones(3))
-
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            PowerAllocation(p_sqrt=np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            PowerAllocation(p_sqrt=np.array([-1.0]))
 
 
 class TestPrecodeFrame:
@@ -131,15 +108,32 @@ class TestPrecodeFrame:
         assert np.abs(with_cache.x - direct.x).max() <= 1e-10
         assert np.abs(with_cache.beta_used - direct.beta_used).max() <= 1e-10
 
+    @pytest.mark.parametrize("snr_db", [-30.0, -7.0, 0.0, 10.0])
+    def test_cache_path_matches_direct_path_across_the_sweep(self, snr_db):
+        # the crosscheck benchmark's shape, SNR cycle and relative 1e-10 gate
+        cfg = ChannelConfig(
+            num_antennas=64, num_users=14, frame_len=256, channel_len=130, decay_samples=25.0, seed=1
+        )
+        ch = draw_channel(cfg)
+        bins = to_bin_channels(ch)
+        fc = FrameConfig(frame_len=256, cp_len=144, snr_db=snr_db)
+        rng = np.random.default_rng(2)
+        sf = generate_symbols(14, 256, "qpsk", rng)
+        rf = to_frequency_domain(transmit(sf, ch, fc, rng))
+        cache = detect_frame(rf, bins, fc.sigma_w2, DetectorKind.MRC_MMSE).cache
+        with_cache = precode_frame(sf, bins, fc.sigma_w2, cache=cache)
+        direct = precode_frame(sf, bins, fc.sigma_w2)
+        for got, want in ((with_cache.x, direct.x), (with_cache.beta_used, direct.beta_used)):
+            assert np.abs(got - want).max() <= 1e-10 * max(np.abs(got).max(), np.abs(want).max())
+
     def test_matches_per_bin_operation(self):
         _, bins, fc = self.scenario(seed=5)
         rng = np.random.default_rng(5)
         sf = generate_symbols(3, 32, "qpsk", rng)
-        power = PowerAllocation(p_sqrt=np.array([1.0, 2.0, 0.5]))
-        result = precode_frame(sf, bins, fc.sigma_w2, power=power)
+        result = precode_frame(sf, bins, fc.sigma_w2)
         s_fd = np.fft.fft(sf.symbols, axis=1, norm="ortho")
         for n in range(32):
-            x_n = precode_oracle(bins.a[n], s_fd[:, n], fc.sigma_w2, power.p_sqrt)
+            x_n = precode_oracle(bins.a[n], s_fd[:, n], fc.sigma_w2)
             assert np.abs(result.x[:, n] - x_n).max() <= 1e-12
 
     def test_beta_positive_and_real(self):
