@@ -32,8 +32,8 @@ from .verify import run_detector_checks, run_precoder_checks
 
 
 def parse_config_file(path: str) -> dict:
-    """Read ``key=value`` lines, ignoring blanks and ``#`` comments."""
-    values = {}
+    """Read ``key=value`` lines, ignoring blanks and ``#`` comments; a bad line raises naming it."""
+    values, seen_at = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -45,7 +45,14 @@ def parse_config_file(path: str) -> dict:
             key = key.strip()
             if key not in SCENARIO_TABLE:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = SCENARIO_TABLE[key][1](raw.strip())
+            if key in seen_at:
+                raise ValueError(f"{path}:{lineno}: key {key!r} was already given on line {seen_at[key]}")
+            cast, raw = SCENARIO_TABLE[key][1], raw.strip()
+            try:
+                values[key] = cast(raw)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key}={raw!r} is not a valid {cast.__name__}") from None
+            seen_at[key] = lineno
     return values
 
 

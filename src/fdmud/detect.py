@@ -15,16 +15,16 @@ The detectors share the per-bin signal model ``y_n = A_n s_n + w_n``:
 
 Each estimator is one private kernel over a stack of bins.  ``detect_frame``
 runs it on all N bins and returns time-domain estimates; ``mmse_bin``,
-``mrc_bin`` and ``mrcmmse_bin`` are the single-bin entry points, the first
-and last running their kernel as the N = 1 stack.  Only the Cholesky
-solve of the M x M MMSE kernel loops over bins.  Every unbiasing reciprocal
-goes through one guard that names the first bin whose gain vanishes.  The
-MRC-MMSE kernel also returns its per-bin regularized Gram inverses and
-per-user unbiasing coefficients so the downlink precoder can reuse both.
-``detect_frame`` collects them into an ``InverseCache``, in the buffer of
-the frame's own Gram, only when it detects from the received frame, the
-TDD path that precodes next; from the shared statistics below, which only
-the Monte-Carlo sweep passes, it returns no cache.
+``mrc_bin`` and ``mrcmmse_bin`` are the single-bin entry points, sharing one
+argument check, the first and last running their kernel as the N = 1 stack.
+Only the Cholesky solve of the M x M MMSE kernel loops over bins.  Every
+unbiasing reciprocal goes through one guard that names the first bin whose
+gain vanishes.  The MRC-MMSE kernel also returns its per-bin regularized
+Gram inverses and per-user unbiasing coefficients so the downlink precoder
+can reuse both.  ``detect_frame`` collects them into an ``InverseCache``, in
+the buffer of the frame's own Gram, only when it detects from the received
+frame, the TDD path that precodes next; from the shared statistics below,
+which only the Monte-Carlo sweep passes, it returns no cache.
 
 Every K x K kind reads only ``A^H A``, ``A^H y`` and the noise variance.
 Given the received frame, ``detect_frame`` forms both for the whole frame
@@ -40,8 +40,9 @@ taps and its noise draw, in one pass over blocks of antennas
 shape-only ``BinChannel`` whose ``a`` the statistics path never reads.  The
 M x M MMSE kernel runs on chunks sized by its (n, M, M) covariance stack:
 18 chunks of 14 or 15 bins at 64 x 14 x 256.  Every kernel that reads
-``A`` rejects a channel whose ``A^H A`` is not finite, naming the bin and
-whether an entry is not finite or the finite entries overflow.
+``A``, and the direct precoder, rejects a channel whose Gram is not finite,
+naming the bin and whether an entry is not finite or the finite entries
+overflow; all but the M x M kernel form it with one checked ``_gram``.
 """
 
 from __future__ import annotations
@@ -275,24 +276,18 @@ def _zf(gram, matched) -> np.ndarray:
     return np.matmul(invert_hpd(gram), matched[:, :, np.newaxis])[..., 0]
 
 
-def _check_finite(**arrays: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first of ``arrays`` with a non-finite entry."""
-    for name, x in arrays.items():
-        if not np.isfinite(x).all():
-            raise ValueError(f"{name} must have finite entries")
-
-
-def _check_bin_args(a_n, y_n, tall: bool = False):
+def _check_bin_args(a_n, v_n, name: str, axis: int):
+    """``a_n`` (M, K) and ``v_n`` (``a_n.shape[axis]``) as arrays, or ``ValueError`` naming the bad one."""
     a_n = np.asarray(a_n)
-    y_n = np.asarray(y_n)
+    v_n = np.asarray(v_n)
     if a_n.ndim != 2:
         raise ValueError(f"a_n must be 2-D, got shape {a_n.shape}")
-    if y_n.shape != (a_n.shape[0],):
-        raise ValueError(f"y_n shape {y_n.shape} does not match a_n shape {a_n.shape}")
-    if tall and a_n.shape[0] < a_n.shape[1]:
-        raise ValueError(f"a_n must have at least as many rows as columns, got {a_n.shape}")
-    _check_finite(a_n=a_n, y_n=y_n)
-    return a_n, y_n
+    if v_n.shape != (a_n.shape[axis],):
+        raise ValueError(f"{name} shape {v_n.shape} does not match a_n shape {a_n.shape}")
+    for arg, x in (("a_n", a_n), (name, v_n)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{arg} must have finite entries")
+    return a_n, v_n
 
 
 def mmse_bin(a_n, y_n, sigma_w2: float) -> np.ndarray:
@@ -305,13 +300,15 @@ def mmse_bin(a_n, y_n, sigma_w2: float) -> np.ndarray:
     ``sigma_w2`` must be strictly positive; for the noise-free limit use
     ``DetectorKind.HIGH_SNR_ZF``, the same estimator without regularization.
     """
-    a_n, y_n = _check_bin_args(a_n, y_n, tall=True)
+    a_n, y_n = _check_bin_args(a_n, y_n, "y_n", 0)
+    if a_n.shape[0] < a_n.shape[1]:
+        raise ValueError(f"a_n must have at least as many rows as columns, got {a_n.shape}")
     return _mmse(a_n[np.newaxis], y_n[np.newaxis], sigma_w2)[0]
 
 
 def mrc_bin(a_n, y_n) -> np.ndarray:
     """Matched-filter / ratio-combined statistic ``(1/M) A^H y`` (length K)."""
-    a_n, y_n = _check_bin_args(a_n, y_n)
+    a_n, y_n = _check_bin_args(a_n, y_n, "y_n", 0)
     a_h = a_n[np.newaxis].conj().transpose(0, 2, 1)
     return _matched(a_h, y_n[np.newaxis])[0] / a_n.shape[0]
 
@@ -335,11 +332,7 @@ def mrcmmse_bin(a_n, r_n, sigma_w2: float) -> tuple[np.ndarray, np.ndarray]:
         ``A^H A + sigma_w2 I``, returned for caching.  Only this K x K
         inversion is performed.
     """
-    a_n = np.asarray(a_n)
-    r_n = np.asarray(r_n)
-    if a_n.ndim != 2 or r_n.shape != (a_n.shape[1],):
-        raise ValueError(f"r_n shape {r_n.shape} does not match a_n shape {a_n.shape}")
-    _check_finite(a_n=a_n, r_n=r_n)
+    a_n, r_n = _check_bin_args(a_n, r_n, "r_n", 1)
     a = a_n[np.newaxis]
     gram = _gram(a, a.conj().transpose(0, 2, 1))
     matched = (a_n.shape[0] * r_n)[np.newaxis]

@@ -208,8 +208,12 @@ class ScenarioConfig:
         if len(self.snr_sweep_db) == 0:
             raise ValueError("snr_sweep_db must be nonempty")
         for idx, snr_db in enumerate(self.snr_sweep_db):
-            if not np.isfinite(snr_db):
-                raise ValueError(f"SNR sweep point {idx} ({snr_db} dB) is not finite")
+            try:  # the noise variance the sweep detects with, 10**(-snr_db / 10)
+                sigma_w2 = replace(self.frame, snr_db=float(snr_db)).sigma_w2
+            except (ValueError, OverflowError):  # nan or -inf dB; or below about -3082.5 dB
+                sigma_w2 = np.nan
+            if not 0 < sigma_w2 < np.inf:
+                raise ValueError(f"SNR sweep point {idx} ({snr_db} dB) gives no positive finite noise variance")
         if len(self.detectors) == 0:
             raise ValueError("at least one detector kind is required")
         for idx, kind in enumerate(self.detectors):
@@ -312,7 +316,7 @@ def _stream_seed(seed: int, point: int, frame: int, tag: int) -> int:
 
 
 def _run_frame(cfg: ScenarioConfig, fc: FrameConfig, p_idx: int, f_idx: int) -> dict:
-    """Per-user SINR of each detector on one frame, ``None`` where it failed.
+    """Per-user SINR of each detector that detected the frame; a failed one is left out.
 
     A function of its own so that a frame's channel and statistics are freed
     before the next frame draws its own.  Every ``K x K`` kind reads the
@@ -350,13 +354,11 @@ def _run_frame(cfg: ScenarioConfig, fc: FrameConfig, p_idx: int, f_idx: int) -> 
     del realization, noise
     sinr = {}
     for kind in cfg.detectors:
+        data = rf if kind is DetectorKind.MMSE else matched
         try:
-            result = detect_frame(
-                rf if kind is DetectorKind.MMSE else matched, bins, fc.sigma_w2, kind
-            )
-            sinr[kind] = measure_sinr(result, sf)
+            sinr[kind] = measure_sinr(detect_frame(data, bins, fc.sigma_w2, kind), sf)
         except (SingularMatrixError, DegenerateScaleError):
-            sinr[kind] = None
+            pass  # the sweep counts the frames a kind did not detect
     return sinr
 
 
@@ -382,15 +384,12 @@ def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
     for p_idx, snr_db in enumerate(cfg.snr_sweep_db):
         fc = replace(cfg.frame, snr_db=float(snr_db))
         sinr_acc = {kind: [] for kind in cfg.detectors}
-        failures = {kind: 0 for kind in cfg.detectors}
         for f_idx in range(cfg.frames_per_point):
             for kind, sinr in _run_frame(cfg, fc, p_idx, f_idx).items():
-                if sinr is None:
-                    failures[kind] += 1
-                else:
-                    sinr_acc[kind].append(sinr)
+                sinr_acc[kind].append(sinr)
         for kind in cfg.detectors:
-            per_user = np.concatenate(sinr_acc[kind]) if sinr_acc[kind] else np.array([])
+            n_frames = len(sinr_acc[kind])
+            per_user = np.concatenate(sinr_acc[kind]) if n_frames else np.array([])
             finite = per_user[np.isfinite(per_user)]
             if finite.size < per_user.size:
                 warnings.warn(
@@ -407,8 +406,8 @@ def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
                     gain_db=float(mean_db - snr_db),
                     gain_low_db=float(gain_low_db),
                     gain_high_db=float(gain_high_db),
-                    n_frames=len(sinr_acc[kind]),
-                    n_failures=failures[kind],
+                    n_frames=n_frames,
+                    n_failures=cfg.frames_per_point - n_frames,
                 )
             )
 

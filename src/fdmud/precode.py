@@ -1,16 +1,16 @@
 """Downlink MMSE precoder with uplink matrix-inverse reuse.
 
-In a TDD system the downlink per-bin inverse ``(A^T A^* + sigma_w2 I)^-1`` is
-the entry-wise complex conjugate of the uplink inverse already computed by
-the MRC-MMSE detector.  Per-user unbiasing scalars mirror the uplink
+In a TDD system the downlink per-bin inverse ``(A^T A^* + sigma_w2 I)^-1``
+is the entry-wise complex conjugate of the uplink inverse already computed
+by the MRC-MMSE detector.  Per-user unbiasing scalars mirror the uplink
 convention: the noiseless end-to-end gain of each user is unity, and they
 equal the uplink MRC-MMSE unbiasing coefficients.  So precoding from an
 :class:`~fdmud.detect.InverseCache` costs a conjugation and forms no
-downlink Gram at all.  The direct path forms its own Gram stack in chunks
-of bins sized by ``A``, then inverts it in chunks sized by the
-``(n, K, K)`` stack, as in ``detect_frame``; its agreement with the cache
-path is the cross-check the test suite runs.  Both paths steer in chunks
-sized by ``A``.
+downlink Gram at all.  The direct path forms its Gram stack with the
+uplink's checked ``detect._gram``, as ``A^T A^* = (A^*)^H A^*``, in chunks
+of bins sized by ``A``, then inverts it in chunks sized by the ``(n, K, K)``
+stack, as in ``detect_frame``; its agreement with the cache path is the
+cross-check the test suite runs.  Both paths steer in chunks sized by ``A``.
 
 The precoder algebra is written once, over a whole stack of bins, in
 ``precode_frame``; one bin is the N = 1 frame (a length-1 unitary DFT is the
@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import BinChannel
-from .detect import InverseCache, _unbias
+from .detect import InverseCache, _gram, _unbias
 from .frame import SymbolFrame
 from .numerics import _split, diag_of_product, invert_hpd
 
@@ -60,9 +60,9 @@ def precode_frame(
     ``A^T A^* + sigma_w2 I``.  Both paths agree to rounding, which the test
     suite checks.  ``sigma_w2`` must be finite and non-negative; zero gives
     the zero-forcing precoder.  On the direct path a singular bin raises
-    :class:`~fdmud.numerics.SingularMatrixError` and a zero-power channel
-    column :class:`~fdmud.numerics.DegenerateScaleError`, each naming the
-    first offending bin.
+    :class:`~fdmud.numerics.SingularMatrixError`, a zero-power channel
+    column :class:`~fdmud.numerics.DegenerateScaleError` and a channel whose
+    Gram is not finite, ``ValueError``, each naming the first offending bin.
 
     No transmit sum-power renormalization is applied; callers wanting a power
     diagnostic can take ``norm(x)**2`` themselves.
@@ -96,7 +96,7 @@ def precode_frame(
         reg = sigma_w2 * np.eye(k_usr)
 
         def form(lo: int, hi: int) -> None:
-            inv_conj[lo:hi] = np.matmul(a[lo:hi].transpose(0, 2, 1), a[lo:hi].conj())  # A^T A^*
+            inv_conj[lo:hi] = _gram(a[lo:hi].conj(), a[lo:hi].transpose(0, 2, 1))  # A^T A^*
 
         def invert(lo: int, hi: int) -> None:
             gram_dl = inv_conj[lo:hi]

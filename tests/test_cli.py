@@ -104,6 +104,20 @@ class TestParsing:
         with pytest.raises(ValueError, match="key=value"):
             parse_config_file(str(cfg))
 
+    def test_config_file_bad_value_names_the_line_key_and_value(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("k=3\nm=abc\n")
+        with pytest.raises(ValueError, match=r":2: m='abc' is not a valid int$"):
+            parse_config_file(str(cfg))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert f"error: {cfg}:2: m='abc'" in capsys.readouterr().err
+
+    def test_config_file_repeated_key_names_both_lines(self, tmp_path):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("m=8\n# more antennas\nm=16\n")
+        with pytest.raises(ValueError, match=r":3: key 'm' was already given on line 1$"):
+            parse_config_file(str(cfg))
+
 
 class TestSimulate:
     def test_writes_csv_and_prints_table(self, tmp_path, capsys):

@@ -15,8 +15,16 @@ from fdmud.detect import (
     mrc_bin,
     mrcmmse_bin,
 )
-from fdmud.frame import FrameConfig, ReceivedFrame, generate_symbols, to_frequency_domain, transmit
+from fdmud.frame import (
+    FrameConfig,
+    ReceivedFrame,
+    SymbolFrame,
+    generate_symbols,
+    to_frequency_domain,
+    transmit,
+)
 from fdmud.numerics import DegenerateScaleError, SingularMatrixError
+from fdmud.precode import precode_frame
 
 from conftest import build_circulant, crandn, detect_bin, frame_statistics
 
@@ -413,28 +421,50 @@ class TestDetectFrame:
             detect_frame(rf, BinChannel(a=a), 0.1, kind)
         assert not isinstance(info.value, DegenerateScaleError)
 
+    # Each K x K kind from the received frame and from its statistics; the
+    # direct precoder forms the downlink Gram A^T A^* under the same check.
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("statistics", [False, True], ids=["frame", "statistics"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("kind", K_BY_K)
-    def test_non_finite_channel_named_as_the_channel(self, rng, kind, value, statistics):
+    @pytest.mark.parametrize(
+        "kind, value, route",
+        [
+            pytest.param(kind, value, route, id=f"{kind}-{value}-{route}")
+            for kind in K_BY_K
+            for value in (np.nan, np.inf)
+            for route in ("frame", "statistics")
+        ]
+        + [pytest.param(None, np.nan, "precode", id="precode-nan")],
+    )
+    def test_non_finite_channel_named_as_the_channel(self, rng, kind, value, route):
         a = crandn(rng, 32, 8, 3)
         a[5, 2, 1] = value
         bins = BinChannel(a=a)
         rf = ReceivedFrame(samples=crandn(rng, 8, 32), domain="frequency")
         with pytest.raises(ValueError, match=r"^bin 5: channel entries must be finite$"):
-            detect_frame(frame_statistics(rf, bins) if statistics else rf, bins, 0.1, kind)
+            if route == "precode":
+                precode_frame(SymbolFrame(symbols=crandn(rng, 3, 32)), bins, 0.1)
+            else:
+                detect_frame(frame_statistics(rf, bins) if route == "statistics" else rf, bins, 0.1, kind)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("statistics", [False, True], ids=["frame", "statistics"])
-    @pytest.mark.parametrize("kind", K_BY_K)
-    def test_finite_channel_whose_gram_overflows(self, rng, kind, statistics):
+    @pytest.mark.parametrize(
+        "kind, route",
+        [
+            pytest.param(kind, route, id=f"{kind}-{route}")
+            for kind in K_BY_K
+            for route in ("frame", "statistics")
+        ]
+        + [pytest.param(None, "precode", id="precode")],
+    )
+    def test_finite_channel_whose_gram_overflows(self, rng, kind, route):
         a = crandn(rng, 32, 8, 3)
         a[5] *= 1e160  # finite entries; their squares are not
         bins = BinChannel(a=a)
         rf = ReceivedFrame(samples=crandn(rng, 8, 32), domain="frequency")
         with pytest.raises(ValueError, match=r"^bin 5: the channel's A\^H A overflows$"):
-            detect_frame(frame_statistics(rf, bins) if statistics else rf, bins, 0.1, kind)
+            if route == "precode":
+                precode_frame(SymbolFrame(symbols=crandn(rng, 3, 32)), bins, 0.1)
+            else:
+                detect_frame(frame_statistics(rf, bins) if route == "statistics" else rf, bins, 0.1, kind)
 
     @pytest.mark.filterwarnings("error")
     def test_finite_channel_whose_gram_overflows_in_the_reference(self, rng):

@@ -449,6 +449,16 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError, match=r"point 1 \((nan|inf|-inf) dB\)"):
             tiny_scenario(snr_sweep_db=(0.0, bad))
 
+    # The SNRs closest to 0 dB whose noise variance 10**(-snr/10) underflows
+    # to 0 and overflows; the next float towards 0 dB is accepted.
+    @pytest.mark.parametrize("snr_db", [3236.0724533877983, -3082.5471555991676])
+    def test_sweep_point_with_unusable_noise_variance_rejected(self, snr_db):
+        tiny_scenario(snr_sweep_db=(0.0, float(np.nextafter(snr_db, 0.0))))
+        with pytest.raises(
+            ValueError, match=rf"^SNR sweep point 1 \({snr_db} dB\) gives no positive finite noise"
+        ):
+            tiny_scenario(snr_sweep_db=(0.0, snr_db))
+
     def test_mismatched_frame_lengths_rejected(self):
         # caught where the scenario is built, before any channel is drawn
         short = FrameConfig(frame_len=8, cp_len=4)
