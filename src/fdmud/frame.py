@@ -74,9 +74,10 @@ class FrameConfig:
     """Frame shape, modulation and input SNR.
 
     ``snr_db`` is the input SNR under unit average channel power, so the
-    noise variance per received sample is ``10**(-snr_db / 10)``.  Use
-    ``snr_db=inf`` for a noise-free path; ``nan`` and ``-inf`` (infinite
-    noise) are rejected.
+    noise variance per received sample is ``10**(-snr_db / 10)``: 0 for a
+    noise-free path at ``snr_db=inf`` (or above about 3236.07 dB), and an
+    SNR whose variance is not finite (``nan``, ``-inf``, or at or below
+    about -3082.5 dB) is rejected.
     """
 
     frame_len: int
@@ -85,8 +86,8 @@ class FrameConfig:
     snr_db: float = 0.0
 
     def __post_init__(self):
-        if np.isnan(self.snr_db) or self.snr_db == -np.inf:
-            raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db}")
+        if not self.sigma_w2 < np.inf:
+            raise ValueError(f"snr_db={self.snr_db} gives no finite noise variance")
         if self.frame_len <= 0:
             raise ValueError("frame_len must be positive")
         if not 0 <= self.cp_len <= self.frame_len:
@@ -96,7 +97,10 @@ class FrameConfig:
     @property
     def sigma_w2(self) -> float:
         """Noise variance per sample implied by the input SNR."""
-        return float(10.0 ** (-self.snr_db / 10.0))
+        try:  # Python floats, which raise where the variance overflows
+            return 10.0 ** (-float(self.snr_db) / 10.0)
+        except OverflowError:
+            return np.inf
 
 
 @dataclass(frozen=True)

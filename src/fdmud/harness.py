@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -131,6 +131,7 @@ def theoretical_gains(num_antennas: int, num_users: int) -> tuple[float, float]:
 # The scenario that ``fdmud simulate`` runs, and the file it writes, one row
 # per key: (default, type, help).  Config-file keys, their casts and the
 # command-line flags (``--l-h`` for ``l_h``) are all derived from this table.
+# A default that a config class holds is read from that class.
 SCENARIO_TABLE = {
     "m": (64, int, "base-station antenna count"),
     "k": (14, int, "user count"),
@@ -138,9 +139,9 @@ SCENARIO_TABLE = {
     "l_h": (130, int, "impulse-response length"),
     "l_cp": (144, int, "cyclic-prefix length"),
     "decay_samples": (25.0, float, "exponential profile constant"),
-    "power_low": (0.1, float, "lower per-antenna power bound"),
-    "power_high": (1.9, float, "upper per-antenna power bound"),
-    "constellation": ("qpsk", str, "qpsk or 16qam"),
+    "power_low": (ChannelConfig.power_spread[0], float, "lower per-antenna power bound"),
+    "power_high": (ChannelConfig.power_spread[1], float, "upper per-antenna power bound"),
+    "constellation": (FrameConfig.constellation, str, "qpsk or 16qam"),
     "snr_sweep": ("-30:10:2", str, "input SNR points: start:stop:step or comma list (dB)"),
     "frames_per_point": (20, int, "Monte-Carlo frames per sweep point"),
     "detectors": (
@@ -208,11 +209,11 @@ class ScenarioConfig:
         if len(self.snr_sweep_db) == 0:
             raise ValueError("snr_sweep_db must be nonempty")
         for idx, snr_db in enumerate(self.snr_sweep_db):
-            try:  # the noise variance the sweep detects with, 10**(-snr_db / 10)
+            try:  # FrameConfig rejects a point whose noise variance is not finite
                 sigma_w2 = replace(self.frame, snr_db=float(snr_db)).sigma_w2
-            except (ValueError, OverflowError):  # nan or -inf dB; or below about -3082.5 dB
+            except ValueError:
                 sigma_w2 = np.nan
-            if not 0 < sigma_w2 < np.inf:
+            if not sigma_w2 > 0:  # above about 3236.07 dB, 10**(-snr_db / 10) underflows to 0
                 raise ValueError(f"SNR sweep point {idx} ({snr_db} dB) gives no positive finite noise variance")
         if len(self.detectors) == 0:
             raise ValueError("at least one detector kind is required")
@@ -282,18 +283,7 @@ class SinrReport:
         buf.write(f"# frames_per_point={self.frames_per_point}\n")
         buf.write("# averaging=mean-linear-sinr-over-users-and-frames-then-db\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "input_snr_db",
-                "detector",
-                "mean_output_sinr_db",
-                "gain_db",
-                "gain_low_db",
-                "gain_high_db",
-                "n_frames",
-                "n_failures",
-            ]
-        )
+        writer.writerow(f.name for f in fields(SinrRow))
         for r in self.rows:
             writer.writerow(
                 [

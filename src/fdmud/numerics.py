@@ -250,10 +250,12 @@ def _split(n: int, fn, size: int) -> None:
     ``size`` counts the array entries the whole call reads; the range is cut
     into chunks of at least ``_MIN_CHUNK`` entries each, and a call too small
     for two chunks runs whole.  ``fn`` must write only its ``lo:hi`` part of
-    preallocated outputs.  If a chunk raises, ``fn`` reruns once on the whole
-    range, so an error names the first failing item of ``range(n)``.  Every
-    item goes through the same operations whichever chunk holds it, so
-    outputs do not depend on the number of chunks.
+    preallocated outputs.  If a chunk raises a ``ValueError`` or
+    ``LinAlgError``, which name an item, ``fn`` reruns once on the whole range
+    so that the error names the first failing item of ``range(n)``; other
+    errors, such as ``MemoryError``, are not retried.  Every item goes through
+    the same operations whichever chunk holds it, so outputs do not depend on
+    the number of chunks.
 
     Chunks run on the calling thread.  Shared with a pool thread on a second
     core they ran faster on an idle host, but their speed then followed the
@@ -269,5 +271,5 @@ def _split(n: int, fn, size: int) -> None:
     try:
         for lo, hi in zip(edges[:-1], edges[1:]):
             fn(lo, hi)
-    except Exception:
+    except (ValueError, np.linalg.LinAlgError):
         fn(0, n)

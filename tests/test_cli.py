@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +118,14 @@ class TestParsing:
         cfg.write_text("m=8\n# more antennas\nm=16\n")
         with pytest.raises(ValueError, match=r":3: key 'm' was already given on line 1$"):
             parse_config_file(str(cfg))
+
+    def test_readme_config_block_shows_every_default(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert block.startswith("# scenario.cfg -- defaults shown\n")
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(block)
+        assert parse_config_file(str(cfg)) == {key: row[0] for key, row in SCENARIO_TABLE.items()}
 
 
 class TestSimulate:

@@ -350,6 +350,8 @@ class TestFrameConfig:
     def test_sigma_from_snr(self):
         assert FrameConfig(frame_len=8, cp_len=2, snr_db=10.0).sigma_w2 == pytest.approx(0.1)
         assert FrameConfig(frame_len=8, cp_len=2, snr_db=np.inf).sigma_w2 == 0.0
+        # the SNR closest to 0 dB whose 10**(-snr/10) underflows
+        assert FrameConfig(frame_len=8, cp_len=2, snr_db=3236.0724533877983).sigma_w2 == 0.0
 
     def test_nan_snr_rejected(self):
         # inf stays valid: it is the noise-free path
@@ -360,6 +362,15 @@ class TestFrameConfig:
         # infinite noise would pass the detectors' sigma_w2 > 0 check
         with pytest.raises(ValueError, match="-inf"):
             FrameConfig(frame_len=8, cp_len=2, snr_db=-np.inf)
+
+    def test_snr_whose_noise_variance_overflows_rejected(self):
+        # the SNR closest to 0 dB whose 10**(-snr/10) overflows; the next
+        # float towards 0 dB gives the largest finite variance
+        worst = -3082.5471555991676
+        with pytest.raises(ValueError, match=rf"^snr_db={worst} gives no finite noise variance$"):
+            FrameConfig(frame_len=8, cp_len=2, snr_db=worst)
+        fc = FrameConfig(frame_len=8, cp_len=2, snr_db=float(np.nextafter(worst, 0.0)))
+        assert 1e308 < fc.sigma_w2 < np.inf
 
     def test_bad_lengths(self):
         with pytest.raises(ValueError):

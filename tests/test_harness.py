@@ -485,3 +485,8 @@ class TestRunMonteCarlo:
         assert bare.detectors == table.detectors
         assert bare.snr_sweep_db == table.snr_sweep_db
         assert bare.frames_per_point == table.frames_per_point
+        channel = ChannelConfig(
+            num_antennas=2, num_users=1, frame_len=8, channel_len=1, decay_samples=1.0
+        )
+        assert channel.power_spread == table.channel.power_spread
+        assert FrameConfig(frame_len=8, cp_len=2).constellation == table.frame.constellation

@@ -4,9 +4,10 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from fdmud import numerics
 from fdmud.channel import ChannelConfig, ChannelRealization, to_bin_channels
 from fdmud.frame import ReceivedFrame, to_frequency_domain
-from fdmud.numerics import SingularMatrixError, diag_of_product, invert_hpd, solve_hpd
+from fdmud.numerics import SingularMatrixError, _split, diag_of_product, invert_hpd, solve_hpd
 
 from conftest import crandn, dft_matrix
 
@@ -325,3 +326,33 @@ class TestElementwiseOps:
             diag_of_product(np.swapaxes(a, -2, -1).conj(), a)
             - np.stack([np.diag(a[n].conj().T @ a[n]) for n in range(4)])
         ).max() <= 1e-13
+
+
+def second_chunk_raises(error):
+    """A chunk function that raises ``error`` on its second call, and its calls."""
+    calls = []
+
+    def fn(lo, hi):
+        calls.append((lo, hi))
+        if len(calls) == 2:
+            raise error
+
+    return fn, calls
+
+
+class TestSplit:
+    # 12 items in four chunks of three
+
+    def test_memory_error_is_not_rerun_on_the_whole_range(self):
+        fn, calls = second_chunk_raises(MemoryError())
+        with pytest.raises(MemoryError):
+            _split(12, fn, 4 * numerics._MIN_CHUNK)
+        assert calls == [(0, 3), (3, 6)]
+
+    @pytest.mark.parametrize(
+        "error", [ValueError("bin 4: "), SingularMatrixError("bin 4: ", 4)], ids=["value", "singular"]
+    )
+    def test_error_naming_an_item_reruns_the_whole_range(self, error):
+        fn, calls = second_chunk_raises(error)
+        _split(12, fn, 4 * numerics._MIN_CHUNK)
+        assert calls == [(0, 3), (3, 6), (0, 12)]
