@@ -141,9 +141,10 @@ def _unbias(gain: np.ndarray) -> np.ndarray:
 
 
 def _check_sigma(sigma_w2: float) -> None:
-    if not sigma_w2 > 0:
+    if not 0 < sigma_w2 < np.inf:
         raise ValueError(
-            "sigma_w2 must be positive; use DetectorKind.HIGH_SNR_ZF for the noise-free limit"
+            f"sigma_w2 must be positive and finite, got {sigma_w2}; "
+            "use DetectorKind.HIGH_SNR_ZF for the noise-free limit"
         )
 
 
@@ -297,7 +298,7 @@ def mmse_bin(a_n, y_n, sigma_w2: float) -> np.ndarray:
     vector ``a`` is the element-wise inverse of the diagonal of the
     end-to-end map, making each user's estimate unbiased.
 
-    ``sigma_w2`` must be strictly positive; for the noise-free limit use
+    ``sigma_w2`` must be positive and finite; for the noise-free limit use
     ``DetectorKind.HIGH_SNR_ZF``, the same estimator without regularization.
     """
     a_n, y_n = _check_bin_args(a_n, y_n, "y_n", 0)
@@ -323,7 +324,7 @@ def mrcmmse_bin(a_n, r_n, sigma_w2: float) -> tuple[np.ndarray, np.ndarray]:
     r_n : array_like
         Length-K output of :func:`mrc_bin` for this bin.
     sigma_w2 : float
-        Noise variance; strictly positive.
+        Noise variance; positive and finite.
 
     Returns
     -------

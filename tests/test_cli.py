@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from byte_manifest import CSV_CASES, check_lines, simulate_csv
 from fdmud import cli, numerics, verify
 from fdmud.cli import main, parse_config_file
 from fdmud.detect import DetectorKind
@@ -210,27 +211,28 @@ class TestSimulate:
 
 
 class TestDeterminism:
-    # The five-kind run CI makes.  Same seed, same rng_layout and the NumPy
-    # and SciPy that CI pins give these exact bytes; a change to how a frame
-    # consumes random numbers must bump harness.RNG_LAYOUT and this digest.
-    FIVE_KIND_ARGS = [
-        "--n", "256", "--l-h", "16", "--l-cp", "32", "--frames-per-point", "2",
-        "--snr-sweep=-10:10:10", "--detectors", "mmse,mrc_mmse,tr_mrc,low_snr,high_snr_zf",
-    ]
-    FIVE_KIND_MD5 = "e74c55007e51388db1dbfe24b06729dd"
-
-    def test_five_kind_csv_bytes_pinned(self, tmp_path, capsys):
-        out = tmp_path / "sinr.csv"
-        assert main(["simulate", *self.FIVE_KIND_ARGS, "--output", str(out)]) == 0
-        data = out.read_bytes()
+    # The CSVs of the byte manifest, pinned: same seed, same rng_layout and
+    # the NumPy and SciPy that CI installs give these exact bytes.
+    @pytest.mark.parametrize("args, md5", [case[1:] for case in CSV_CASES],
+                             ids=[case[0] for case in CSV_CASES])
+    def test_csv_bytes_pinned(self, args, md5, tmp_path):
+        data = simulate_csv(args, tmp_path)
         assert b"# rng_layout=2\n" in data
-        assert hashlib.md5(data).hexdigest() == self.FIVE_KIND_MD5
+        assert hashlib.md5(data).hexdigest() == md5
 
     def test_five_kind_csv_bytes_pinned_on_one_bin_chunks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(numerics, "_MIN_CHUNK", 1)
-        out = tmp_path / "sinr.csv"
-        assert main(["simulate", *self.FIVE_KIND_ARGS, "--output", str(out)]) == 0
-        assert hashlib.md5(out.read_bytes()).hexdigest() == self.FIVE_KIND_MD5
+        name, args, md5 = CSV_CASES[0]
+        assert name == "five-kind"
+        assert hashlib.md5(simulate_csv(args, tmp_path)).hexdigest() == md5
+
+    def test_manifest_marks_thread_dependent_lines_and_reports_a_failure(self, monkeypatch):
+        checks = [verify.CheckResult(name, passed, "detail")
+                  for name, passed in (("pushthrough-identity", True), ("cp-circularity", False))]
+        monkeypatch.setattr(cli, "run_detector_checks", lambda seed: checks)
+        lines, rc = check_lines("verify", 4)
+        assert lines == ["~verify 4 PASS  pushthrough-identity: detail", "verify 4 FAIL  cp-circularity: detail"]
+        assert rc == 1
 
     def test_short_cyclic_prefix_fails_cleanly(self, capsys):
         # the default 130-tap channel needs a prefix of at least 131
@@ -246,6 +248,12 @@ class TestComplexity:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "M,K,mults_mmse,mults_mrcmmse"
         assert len(out.strip().splitlines()) == 5
+
+    def test_antenna_count_below_two_fails_cleanly(self, capsys):
+        assert main(["complexity", "--m-list", "0,-5,3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: each M in m_list must be at least 2 to serve one user, got 0\n"
 
     def test_file_output(self, tmp_path, capsys):
         out = tmp_path / "complexity.csv"

@@ -105,8 +105,10 @@ class TestMmseBin:
             assert mmse_bin(a, a @ probe, 0.7)[col] == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_sigma_rejected(self, rng):
-        with pytest.raises(ValueError, match="HIGH_SNR_ZF"):
-            mmse_bin(crandn(rng, 4, 2), crandn(rng, 4), 0.0)
+        a, y = crandn(rng, 4, 2), crandn(rng, 4)
+        for sigma_w2 in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=rf"positive and finite, got {sigma_w2}; .*HIGH_SNR_ZF"):
+                mmse_bin(a, y, sigma_w2)
 
     def test_wide_matrix_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -174,8 +176,10 @@ class TestMrcMmseBin:
 
     def test_zero_sigma_rejected(self, rng):
         a = crandn(rng, 4, 2)
-        with pytest.raises(ValueError, match="HIGH_SNR_ZF"):
-            mrcmmse_bin(a, mrc_bin(a, crandn(rng, 4)), 0.0)
+        r = mrc_bin(a, crandn(rng, 4))
+        for sigma_w2 in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=rf"positive and finite, got {sigma_w2}; .*HIGH_SNR_ZF"):
+                mrcmmse_bin(a, r, sigma_w2)
 
 
 # Each single-bin entry point with the name of its second argument.
@@ -514,5 +518,6 @@ class TestDetectFrame:
     def test_zero_sigma_rejected_for_mmse_kinds(self):
         _, bins, fc, _, rf = small_scenario(seed=2)
         for kind in (DetectorKind.MMSE, DetectorKind.MRC_MMSE):
-            with pytest.raises(ValueError, match="positive"):
-                detect_frame(rf, bins, 0.0, kind)
+            for sigma_w2 in (0.0, np.inf, np.nan):
+                with pytest.raises(ValueError, match=rf"positive and finite, got {sigma_w2}; .*HIGH_SNR_ZF"):
+                    detect_frame(rf, bins, sigma_w2, kind)

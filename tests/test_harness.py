@@ -98,6 +98,9 @@ class TestComplexitySweep:
             complexity_sweep([], 3)
         with pytest.raises(ValueError):
             complexity_sweep([4], 0)
+        for m_list, bad in (([1], 1), ([0, -5, 3], 0), ([4, -5], -5)):
+            with pytest.raises(ValueError, match=rf"at least 2 to serve one user, got {bad}$"):
+                complexity_sweep(m_list, 3)
 
 
 class TestMeasureSinr:
