@@ -19,6 +19,9 @@ with the time-domain signal.  ``_tap_statistics`` forms both for all N bins
 from one FFT of the taps, in one pass over blocks of antennas, so the
 Monte-Carlo sweep never builds the (N, M, K) stack ``A`` that
 ``to_bin_channels`` returns: at 256 x 16 x 4096 that stack alone is 268 MB.
+``frame.transmit`` applies the channel itself by overlap-save on the same
+P-point layout (``_overlap_save``) and the same blocks of antennas, so one
+layout serves the channel and its adjoint.
 """
 
 from __future__ import annotations
@@ -199,10 +202,27 @@ def _check_matched(matched: np.ndarray) -> None:
         raise ValueError(f"bin {np.flatnonzero(~finite)[0]}: the matched-filter output A^H y overflows")
 
 
-# Antennas per pass of ``_tap_statistics``.  A fixed count, not a chunk size
-# from ``numerics``, so that no chunk setting reaches its bytes.  From
-# 64 x 14 x 2048 to 256 x 16 x 4096, 16 ran fastest or near it, 4 and 8
-# slower, and whole-M blocks held M x P spectra and segments again.
+def _overlap_save(length: int, n_out: int) -> tuple[int, int, int]:
+    """``(P, step, segments)``: the overlap-save layout of an L-tap channel.
+
+    Both directions of the channel use it: ``frame.transmit`` convolves
+    with the taps and ``_tap_statistics`` correlates with them.  Filtering
+    a P-sample window by the product of P-point spectra,
+    ``P = _next_fast_len(2L - 1)``, wraps ``L - 1`` of its outputs (the
+    first of a convolution, the last of a correlation) and leaves the other
+    ``step = P - L + 1`` exact, so ``segments`` windows, ``step`` samples
+    apart, give ``n_out`` outputs.
+    """
+    p = _next_fast_len(2 * length - 1)
+    step = p - length + 1
+    return p, step, -(-n_out // step)
+
+
+# Antennas per pass of ``_tap_statistics`` and ``frame.transmit``.  A fixed
+# count, not a chunk size from ``numerics``, so that no chunk setting
+# reaches their bytes.  From 64 x 14 x 2048 to 256 x 16 x 4096, 16 ran
+# fastest or near it, 4 and 8 slower, and whole-M blocks held M x P spectra
+# and segments again.
 _BLOCK_ANTENNAS = 16
 
 
@@ -233,10 +253,7 @@ def _tap_statistics(taps: np.ndarray, signal: np.ndarray) -> tuple[np.ndarray, n
     """
     m_ant, k_usr, length = taps.shape
     n_bins = signal.shape[1]
-    p = _next_fast_len(2 * length - 1)
-    # Each segment yields P - L + 1 correlation lags that do not wrap.
-    step = p - length + 1
-    n_segments = -(-n_bins // step)
+    p, step, n_segments = _overlap_save(length, n_bins)
     starts = (np.arange(p)[:, np.newaxis] + step * np.arange(n_segments)) % n_bins
     lag_spectra = np.zeros((p, k_usr, k_usr), dtype=np.complex128)
     corr_spectra = np.zeros((p, k_usr, n_segments), dtype=np.complex128)

@@ -105,8 +105,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_m_list(text: str) -> list[int]:
+    """The antenna counts of ``--m-list``; a bad item raises naming its position and text."""
+    m_list = []
+    for idx, item in enumerate(text.split(",")):
+        try:
+            m_list.append(int(item))
+        except ValueError:
+            raise ValueError(f"--m-list item {idx} is not an integer: {item!r}") from None
+    return m_list
+
+
 def _cmd_complexity(args: argparse.Namespace) -> int:
-    m_list = [int(v) for v in args.m_list.split(",")]
+    m_list = _parse_m_list(args.m_list)
     report = complexity_sweep(m_list, args.k_max)
     text = report.to_csv()
     if args.output is not None:

@@ -4,10 +4,12 @@ Two functions make a received frame from the same symbols and noise draws.
 ``transmit`` is a true transmitter emulation and assumes nothing about the
 channel: the cyclic prefix is prepended, the frame is linearly convolved with
 each impulse response, user contributions are summed, white Gaussian noise is
-added, and the prefix is discarded.  ``transmit_bins`` assumes the cyclic
-prefix makes every channel circulant, and builds each frequency bin directly
-as ``y_n = A_n s_n + w_n``; the Monte-Carlo sweep uses it for the M x M MMSE
-reference.  The assumption is proved, not trusted:
+added, and the prefix is discarded.  It convolves by overlap-save on the
+P-point layout that ``channel._tap_statistics`` correlates on, so one
+layout serves the channel and its adjoint.  ``transmit_bins`` assumes the
+cyclic prefix makes every channel circulant, and builds each frequency bin
+directly as ``y_n = A_n s_n + w_n``; the Monte-Carlo sweep uses it for the
+M x M MMSE reference.  The assumption is proved, not trusted:
 ``verify.check_cp_circularity`` compares the two paths, and the test suite
 checks that they agree to rounding and leave the generator in the same state.
 
@@ -23,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BinChannel, ChannelRealization, _next_fast_len
-from .numerics import _split
+from .channel import _BLOCK_ANTENNAS, BinChannel, ChannelRealization, _overlap_save
 
 __all__ = [
     "FrameConfig",
@@ -167,26 +168,41 @@ def transmit(
 
     Requires ``channel_len <= cp_len - 1`` so the prefix fully absorbs the
     channel memory.
+
+    The convolution is overlap-save at ``P = _next_fast_len(2L - 1)``
+    points (``channel._overlap_save``): windows of P samples of the
+    prefix-extended frame, ``P - L + 1`` apart and read as zeros past its
+    end, take one FFT; each block of antennas multiplies its taps' P-point
+    spectra by them, one K-column product per point, and keeps all but the
+    first ``L - 1`` outputs of each window's inverse FFT.  No index wraps,
+    so nothing here assumes the channel circular.
     """
     symbols = np.asarray(sf.symbols)
     m_ant, k_usr, length = ch.taps.shape
     _check_frame(symbols, k_usr, fc)
     _check_cp(length, fc.cp_len)
-    frame_len = fc.frame_len
+    frame_len, cp_len = fc.frame_len, fc.cp_len
 
-    with_cp = np.concatenate([symbols[:, frame_len - fc.cp_len :], symbols], axis=1)
-    nfft = _next_fast_len(frame_len + fc.cp_len + length - 1)
-    sig_fd = np.fft.fft(with_cp, n=nfft, axis=1)[np.newaxis, :, :]
+    p, step, n_segments = _overlap_save(length, frame_len)
+    # Window j starts L - 1 samples before output j * step, inside the
+    # prefix since cp >= L + 1; past the frame's end it reads zeros.
+    start = cp_len - (length - 1)
+    with_cp = np.zeros((k_usr, cp_len + n_segments * step), dtype=np.complex128)
+    with_cp[:, :cp_len] = symbols[:, frame_len - cp_len :]
+    with_cp[:, cp_len : cp_len + frame_len] = symbols
+    index = start + np.arange(p)[:, np.newaxis] + step * np.arange(n_segments)
+    windows = np.fft.fft(with_cp.T[index].transpose(0, 2, 1), axis=0)  # (P, K, segments)
     noise = _awgn(m_ant, frame_len, fc.sigma_w2, rng)
     samples = np.empty((m_ant, frame_len), dtype=np.complex128)
-
-    def antennas_run(lo: int, hi: int) -> None:
-        taps_fd = np.fft.fft(ch.taps[lo:hi], n=nfft, axis=2)
-        mixed = np.fft.ifft((sig_fd * taps_fd).sum(axis=1), axis=1)
-        np.add(mixed[:, fc.cp_len : fc.cp_len + frame_len], noise[lo:hi], out=samples[lo:hi])
-
-    # Sized by the (M, K, nfft) tap spectrum, which whole would be the largest array.
-    _split(m_ant, antennas_run, m_ant * k_usr * nfft)
+    for lo in range(0, m_ant, _BLOCK_ANTENNAS):
+        hi = min(lo + _BLOCK_ANTENNAS, m_ant)
+        # Entry p is this block's (hi - lo) x K channel at the p-th point.
+        spectra = np.zeros((p, hi - lo, k_usr), dtype=np.complex128)
+        spectra[:length] = ch.taps[lo:hi].transpose(2, 0, 1)
+        np.fft.fft(spectra, axis=0, out=spectra)
+        mixed = np.fft.ifft(np.matmul(spectra, windows), axis=0)[length - 1 :]
+        mixed = mixed.transpose(1, 2, 0).reshape(hi - lo, n_segments * step)[:, :frame_len]
+        np.add(mixed, noise[lo:hi], out=samples[lo:hi])
     return ReceivedFrame(samples=samples, domain=TIME)
 
 

@@ -87,14 +87,17 @@ def complexity_sweep(m_list, k_max: int) -> ComplexityReport:
     """Per-bin multiply counts over a grid of antenna counts and user counts.
 
     For each M in ``m_list`` the user count runs from 1 to
-    ``min(k_max, M - 1)``, so every M must be at least 2.
+    ``min(k_max, M - 1)``, so every M must be at least 2, and no M may
+    repeat.
     """
     m_list = list(m_list)
     if not m_list or k_max < 1:
         raise ValueError("m_list must be nonempty and k_max >= 1")
-    for m in m_list:
+    for idx, m in enumerate(m_list):
         if m < 2:
             raise ValueError(f"each M in m_list must be at least 2 to serve one user, got {m}")
+        if m in m_list[:idx]:
+            raise ValueError(f"M={m} is repeated in m_list, at item {idx}")
     rows = []
     for m in m_list:
         for k in range(1, min(k_max, m - 1) + 1):

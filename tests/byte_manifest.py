@@ -8,6 +8,8 @@ In one process this prints
 - the sha256 of the TDD path's arrays: MRC-MMSE estimates from a received
   frame, its inverse cache and both precoder paths, at 128x16x512 and
   64x14x2048;
+- the sha256 of ``transmit``'s time-domain samples through the benchmark's
+  130-tap channel and 144-sample prefix, at the same two shapes;
 - the stdout of ``verify`` and ``precode-check`` at seeds 1, 2 and 3,
 
 and exits 1 if any check prints ``FAIL``.  Run it against a change's
@@ -37,7 +39,7 @@ import numpy as np
 from fdmud.channel import ChannelConfig, draw_channel, to_bin_channels
 from fdmud.cli import main
 from fdmud.detect import DetectorKind, detect_frame
-from fdmud.frame import FrameConfig, generate_symbols, transmit_bins
+from fdmud.frame import FrameConfig, generate_symbols, transmit, transmit_bins
 from fdmud.precode import precode_frame
 
 _SWEEP = ["--frames-per-point", "2", "--snr-sweep=-10:10:10"]
@@ -95,6 +97,16 @@ def tdd_lines():
             yield f"tdd {m}x{k}x{n} {name} {hashlib.sha256(x.tobytes()).hexdigest()}"
 
 
+def transmit_lines():
+    """The time-domain oracle: overlap-save windows, antenna blocks and BLAS products."""
+    for m, k, n in ((128, 16, 512), (64, 14, 2048)):
+        realization = draw_channel(ChannelConfig(m, k, n, 130, decay_samples=25.0, seed=1))
+        fc = FrameConfig(frame_len=n, cp_len=144, snr_db=5.0)
+        rng = np.random.default_rng(2)
+        samples = transmit(generate_symbols(k, n, "qpsk", rng), realization, fc, rng).samples
+        yield f"transmit {m}x{k}x{n} {hashlib.sha256(samples.tobytes()).hexdigest()}"
+
+
 def check_lines(command: str, seed: int):
     """``fdmud <command> --seed <seed>`` stdout, one line per check, and its exit status."""
     buf = io.StringIO()
@@ -111,7 +123,7 @@ def manifest() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, args, _ in CSV_CASES:
             print(f"simulate {name} {hashlib.md5(simulate_csv(args, tmp)).hexdigest()}")
-    for line in tdd_lines():
+    for line in (*tdd_lines(), *transmit_lines()):
         print(line)
     failed = False
     for seed in (1, 2, 3):

@@ -75,10 +75,9 @@ def every_output():
 
 
 # Detection at N_BINS reads 768 entries: a minimum of 256 makes three chunks
-# (10, 11 and 11 bins) and a minimum of 1 one chunk per bin.  ``transmit``'s
-# tap spectrum has 720 entries: two chunks of antennas, then one per antenna.
-# The sweep's tap-domain statistics take no chunks; they are compared so that
-# no chunk size ever reaches their bytes.
+# (10, 11 and 11 bins) and a minimum of 1 one chunk per bin.  ``transmit``
+# and the sweep's tap-domain statistics take no chunks; they are compared so
+# that no chunk size ever reaches their bytes.
 @pytest.mark.parametrize("min_chunk", [256, 1])
 def test_outputs_do_not_depend_on_chunks(split, min_chunk):
     split(WHOLE)

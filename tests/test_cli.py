@@ -255,6 +255,22 @@ class TestComplexity:
         assert captured.out == ""
         assert captured.err == "error: each M in m_list must be at least 2 to serve one user, got 0\n"
 
+    @pytest.mark.parametrize(
+        "m_list, message",
+        [
+            ("", "--m-list item 0 is not an integer: ''"),
+            ("8,,16", "--m-list item 1 is not an integer: ''"),
+            ("8,16,x4", "--m-list item 2 is not an integer: 'x4'"),
+            ("4,4", "M=4 is repeated in m_list, at item 1"),
+            ("8,4, 8", "M=8 is repeated in m_list, at item 2"),
+        ],
+    )
+    def test_bad_m_list_fails_cleanly(self, capsys, m_list, message):
+        assert main(["complexity", "--m-list", m_list, "--k-max", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_file_output(self, tmp_path, capsys):
         out = tmp_path / "complexity.csv"
         rc = main(["complexity", "--output", str(out)])

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from fdmud.channel import (
     ChannelConfig,
     ChannelRealization,
+    _next_fast_len,
+    _overlap_save,
     _tap_statistics,
     draw_channel,
     to_bin_channels,
@@ -17,7 +19,6 @@ from fdmud.frame import (
     ReceivedFrame,
     SymbolFrame,
     _awgn,
-    _next_fast_len,
     bin_vector,
     constellation_points,
     generate_symbols,
@@ -84,15 +85,28 @@ class TestTransmit:
         assert rf.domain == "time"
         assert np.abs(rf.samples[0] - sf.symbols[0]).max() <= 1e-15
 
-    def test_against_circulant_oracle(self, rng):
+    # Overlap-save windows of P = _next_fast_len(2L - 1) samples step by
+    # P - L + 1 over the frame, in blocks of 16 antennas.
+    @pytest.mark.parametrize(
+        "m_ant, k_usr, n, l_h, cp",
+        [
+            pytest.param(3, 2, 16, 4, 5, id="L=cp-1"),
+            pytest.param(3, 2, 16, 4, 12, id="long-prefix"),
+            pytest.param(20, 3, 32, 5, 9, id="partial-block"),
+            pytest.param(4, 2, 16, 1, 2, id="L=1"),
+            pytest.param(5, 2, 30, 4, 9, id="N-not-a-multiple-of-step"),
+            pytest.param(3, 2, 10, 6, 7, id="N<P"),
+            pytest.param(64, 14, 256, 130, 144, id="64x14x256"),
+        ],
+    )
+    def test_against_circulant_oracle(self, rng, m_ant, k_usr, n, l_h, cp):
         # noise-free output equals the sum of circulant-matrix products
-        n, l_h, k_usr, m_ant = 16, 4, 2, 3
         cfg = ChannelConfig(
             num_antennas=m_ant, num_users=k_usr, frame_len=n, channel_len=l_h, decay_samples=2.0, seed=4
         )
         ch = draw_channel(cfg)
         sf = SymbolFrame(symbols=crandn(rng, k_usr, n))
-        fc = FrameConfig(frame_len=n, cp_len=l_h + 1, snr_db=np.inf)
+        fc = FrameConfig(frame_len=n, cp_len=cp, snr_db=np.inf)
         rf = transmit(sf, ch, fc, rng)
         for m in range(m_ant):
             expected = sum(
@@ -132,10 +146,12 @@ class TestNextFastLen:
         for target in range(1, 20_001):
             assert _next_fast_len(target) == next_fast_len(target), target
 
-    @pytest.mark.parametrize("frame_len, expected", [(2048, 2352), (512, 792), (256, 539)])
-    def test_benchmark_shapes(self, frame_len, expected):
-        # frame, 144-sample prefix and 130-tap channel, as transmit pads them
-        assert _next_fast_len(frame_len + 144 + 130 - 1) == expected
+    @pytest.mark.parametrize("frame_len, segments", [(2048, 16), (512, 4), (256, 2)])
+    def test_benchmark_shapes(self, frame_len, segments):
+        # the overlap-save layout that transmit and _tap_statistics share for
+        # the benchmark's 130-tap channel: P = 264 points, 135 samples a step
+        assert _next_fast_len(2 * 130 - 1) == 264
+        assert _overlap_save(130, frame_len) == (264, 135, segments)
 
 
 @st.composite

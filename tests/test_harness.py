@@ -101,6 +101,8 @@ class TestComplexitySweep:
         for m_list, bad in (([1], 1), ([0, -5, 3], 0), ([4, -5], -5)):
             with pytest.raises(ValueError, match=rf"at least 2 to serve one user, got {bad}$"):
                 complexity_sweep(m_list, 3)
+        with pytest.raises(ValueError, match=r"^M=4 is repeated in m_list, at item 2$"):
+            complexity_sweep([4, 8, 4], 3)
 
 
 class TestMeasureSinr:
