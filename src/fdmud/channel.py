@@ -15,10 +15,14 @@ order-independent by deriving each frame's seed from (seed, point, frame).
 Because the cyclic prefix makes every channel circulant, bin n's Gram
 ``A_n^H A_n`` is the DFT of the channel's K x K autocorrelation, which has
 only ``2L - 1`` lags, and ``A_n^H y_n`` the DFT of the taps' correlation
-with the time-domain signal.  ``_tap_statistics`` forms both for all N bins
-from one FFT of the taps, in one pass over blocks of antennas, so the
+with the time-domain signal.  ``_tap_correlations`` forms the lags and
+``A^H y`` for all N bins from one FFT of the taps, in one pass over blocks
+of antennas, and ``_lag_gram`` takes the lags to the N Grams, so the
 Monte-Carlo sweep never builds the (N, M, K) stack ``A`` that
 ``to_bin_channels`` returns: at 256 x 16 x 4096 that stack alone is 268 MB.
+The two are separate steps so that the sweep can free the taps and the
+signal between them, and the Gram, the largest array of a sweep frame,
+takes their space.
 ``frame.transmit`` applies the channel itself by overlap-save on the same
 P-point layout (``_overlap_save``) and the same blocks of antennas, so one
 layout serves the channel and its adjoint.
@@ -206,7 +210,7 @@ def _overlap_save(length: int, n_out: int) -> tuple[int, int, int]:
     """``(P, step, segments)``: the overlap-save layout of an L-tap channel.
 
     Both directions of the channel use it: ``frame.transmit`` convolves
-    with the taps and ``_tap_statistics`` correlates with them.  Filtering
+    with the taps and ``_tap_correlations`` correlates with them.  Filtering
     a P-sample window by the product of P-point spectra,
     ``P = _next_fast_len(2L - 1)``, wraps ``L - 1`` of its outputs (the
     first of a convolution, the last of a correlation) and leaves the other
@@ -218,7 +222,7 @@ def _overlap_save(length: int, n_out: int) -> tuple[int, int, int]:
     return p, step, -(-n_out // step)
 
 
-# Antennas per pass of ``_tap_statistics`` and ``frame.transmit``.  A fixed
+# Antennas per pass of ``_tap_correlations`` and ``frame.transmit``.  A fixed
 # count, not a chunk size from ``numerics``, so that no chunk setting
 # reaches their bytes.  From 64 x 14 x 2048 to 256 x 16 x 4096, 16 ran
 # fastest or near it, 4 and 8 slower, and whole-M blocks held M x P spectra
@@ -226,38 +230,58 @@ def _overlap_save(length: int, n_out: int) -> tuple[int, int, int]:
 _BLOCK_ANTENNAS = 16
 
 
-def _tap_statistics(taps: np.ndarray, signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``A_n^H A_n`` (N, K, K) and ``A_n^H y_n`` (N, K) from the taps, without ``A``.
+def _correlation_outputs(k_usr: int, length: int, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialised ``lags`` (P, K, K) and ``matched`` (N, K) for :func:`_tap_correlations`.
+
+    A function of their own so that a caller can allocate them before it
+    draws the taps and the signal, and the Gram can take those arrays'
+    space once they are freed.
+    """
+    lags = np.empty((_overlap_save(length, n_bins)[0], k_usr, k_usr), dtype=np.complex128)
+    return lags, np.empty((n_bins, k_usr), dtype=np.complex128)
+
+
+def _tap_correlations(
+    taps: np.ndarray, signal: np.ndarray, lags: np.ndarray, matched: np.ndarray
+) -> None:
+    """The taps' lags and ``A_n^H y_n``: the first step of the statistics, with no ``A``.
 
     ``A`` is ``to_bin_channels`` of the (M, K, L) ``taps`` at the N bins of
     ``signal``, any time-domain (M, N) frame, and ``y`` its unitary DFT.
-    Both come from the taps' DFTs at ``P = _next_fast_len(2L - 1)`` points,
-    where the product of two spectra holds the ``2L - 1`` lags of a
-    correlation without wrapping.  With ``R(d) = sum_m sum_l
+    Fills ``lags`` (P, K, K), ``P = _next_fast_len(2L - 1)``, with the
+    taps' K x K autocorrelation, which :func:`_lag_gram` takes to the bins,
+    and ``matched`` (N, K) with ``A^H y``.  Both come from the taps' DFTs
+    at P points, where the product of two spectra holds the ``2L - 1`` lags
+    of a correlation without wrapping.  With ``R(d) = sum_m sum_l
     conj(h[m, :, l])^T h[m, :, l + d]`` the K x K autocorrelation at lag d,
-    ``A_n^H A_n`` is ``sum_d R(d) exp(-2j pi n d / N)``: the lags come from a
-    stacked K x K Gram of the spectra and an inverse FFT, are folded modulo N
-    (which matters when ``2L - 1 > N``), and one FFT takes them to the N
-    bins.  ``A_n^H y_n`` is the unitary DFT of each user's circular
+    ``lags`` holds ``R(0) .. R(L - 1)`` first and ``R(1 - L) .. R(-1)``
+    last, from a stacked K x K Gram of the spectra and an inverse FFT.
+    ``A_n^H y_n`` is the unitary DFT of each user's circular
     cross-correlation ``c_k[t] = sum_m sum_l conj(h[m, k, l]) y_m[t + l]``,
     formed by overlap-save: the signal is cut into cyclic segments of P
     samples that overlap by L - 1, and each point sums a K x M by
     M x (segments) product over the antennas.
 
-    One loop over fixed blocks of antennas adds each block's two products
-    into the (P, K, K) and (P, K, segments) spectra, so no array here has
-    M x P entries.  The results agree with the products over ``A`` to
-    rounding, not bytes.  A non-finite Gram raises ``ValueError`` naming
-    its bin (see :func:`_check_power`), and so does a non-finite
-    ``A^H y``.
+    The caller allocates both outputs (:func:`_correlation_outputs`), so
+    that they can sit below the taps and the signal, whose space the Gram
+    then takes.  One loop over fixed
+    blocks of antennas adds each block's two products into the (P, K, K)
+    and (P, K, segments) spectra, so no array here has M x P entries.  The
+    results agree with the products over ``A`` to rounding, not bytes.  A
+    non-finite tap raises ``ValueError`` naming bin 0; the caller checks
+    ``matched`` (:func:`_check_matched`) once it has checked the Gram.
     """
     m_ant, k_usr, length = taps.shape
     n_bins = signal.shape[1]
+    # A non-finite tap makes every bin's A^H A non-finite, bin 0 first; it
+    # is named here, as the Gram is formed once the taps are gone.
+    if not np.isfinite(taps).all():
+        raise ValueError("bin 0: channel entries must be finite")
     p, step, n_segments = _overlap_save(length, n_bins)
     starts = (np.arange(p)[:, np.newaxis] + step * np.arange(n_segments)) % n_bins
-    lag_spectra = np.zeros((p, k_usr, k_usr), dtype=np.complex128)
+    lags[...] = 0
     corr_spectra = np.zeros((p, k_usr, n_segments), dtype=np.complex128)
-    # The checks below report non-finite results, so NumPy need not warn.
+    # The callers' checks report non-finite results, so NumPy need not warn.
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, m_ant, _BLOCK_ANTENNAS):
             hi = min(lo + _BLOCK_ANTENNAS, m_ant)
@@ -266,24 +290,34 @@ def _tap_statistics(taps: np.ndarray, signal: np.ndarray) -> tuple[np.ndarray, n
             spectra[:length] = taps[lo:hi].transpose(2, 1, 0)
             np.fft.fft(spectra, axis=0, out=spectra)
             np.conjugate(spectra, out=spectra)
-            lag_spectra += np.matmul(spectra, spectra.conj().transpose(0, 2, 1))
+            lags += np.matmul(spectra, spectra.conj().transpose(0, 2, 1))
             segments = signal[lo:hi].T[starts]  # (P, segments, hi - lo)
             np.fft.fft(segments, axis=0, out=segments)
             corr_spectra += np.matmul(spectra, segments.transpose(0, 2, 1))
-        # The last block's arrays go before the outputs are formed, and the
-        # inverse FFTs write in place, so the outputs are the largest arrays.
+        # The last block's arrays go before the transforms below copy.
         del spectra, segments
         corr = np.fft.ifft(corr_spectra, axis=0, out=corr_spectra)[:step]
         corr = corr.transpose(1, 2, 0).reshape(k_usr, n_segments * step)[:, :n_bins]
-        matched = np.fft.fft(corr, axis=1, norm="ortho").T
-        lags = np.fft.ifft(lag_spectra, axis=0, out=lag_spectra)
-        # Lags 0 .. L - 1 come first in ``lags``, lags 1 - L .. -1 last.
-        gram = np.zeros((n_bins, k_usr, k_usr), dtype=np.complex128)
+        np.fft.fft(corr, axis=1, norm="ortho", out=matched.T)
+        np.fft.ifft(lags, axis=0, out=lags)
+
+
+def _lag_gram(lags: np.ndarray, length: int, n_bins: int) -> np.ndarray:
+    """``A_n^H A_n`` (N, K, K) from the (P, K, K) ``lags`` of :func:`_tap_correlations`.
+
+    ``A_n^H A_n`` is ``sum_d R(d) exp(-2j pi n d / N)`` over the ``2L - 1``
+    lags: they are folded modulo N (which matters when ``2L - 1 > N``), and
+    one FFT takes them to the N bins.  A non-finite Gram raises
+    ``ValueError`` naming its bin (see :func:`_check_power`); from the
+    finite taps that the correlations admit, it is non-finite only by
+    overflow.
+    """
+    p, k_usr, _ = lags.shape
+    gram = np.zeros((n_bins, k_usr, k_usr), dtype=np.complex128)
+    # The check below reports a non-finite Gram, so NumPy need not warn.
+    with np.errstate(invalid="ignore", over="ignore"):
         gram[:length] = lags[:length]
         gram[np.arange(1 - length, 0) % n_bins] += lags[p + 1 - length :]
         np.fft.fft(gram, axis=0, out=gram)
-    # A non-finite tap reaches every bin, so a bin's channel is finite
-    # exactly when all the taps are.
-    _check_power(gram.diagonal(axis1=1, axis2=2), lambda _: np.isfinite(taps).all())
-    _check_matched(matched)
-    return gram, matched
+    _check_power(gram.diagonal(axis1=1, axis2=2), lambda _: True)
+    return gram

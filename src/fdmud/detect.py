@@ -29,14 +29,16 @@ which only the Monte-Carlo sweep passes, it returns no cache.
 Every K x K kind reads only ``A^H A``, ``A^H y`` and the noise variance.
 Given the received frame, ``detect_frame`` forms both for the whole frame
 in chunks of bins sized by ``A``, then runs the kind on chunks sized by the
-(n, K, K) stack, since ``invert_hpd`` costs a fixed amount per call: 7
-chunks of about 290 bins at 64 x 14 x 2048, and 2 inverse calls at
+(n, K, K) stack, since ``invert_hpd`` costs a fixed amount per call, at
+three entries per stack entry, which bounds the inverse's temporaries: 21
+chunks of about 98 bins at 64 x 14 x 2048, and 6 inverse calls at
 128 x 16 x 512 where chunks sized by ``A`` would make 19.  A caller running
 several K x K kinds on one frame forms the statistics once, as a
 ``_Matched``, and passes them in place of the received frame; they are
 read, never written.  The Monte-Carlo sweep forms them from the channel
 taps and its noise draw, in one pass over blocks of antennas
-(``channel._tap_statistics``), without building ``A`` at all, and passes a
+(``channel._tap_correlations``) and one FFT of the lags
+(``channel._lag_gram``), without building ``A`` at all, and passes a
 shape-only ``BinChannel`` whose ``a`` the statistics path never reads.  The
 M x M MMSE kernel runs on chunks sized by its (n, M, M) covariance stack:
 18 chunks of 14 or 15 bins at 64 x 14 x 256.  Every kernel that reads
@@ -235,8 +237,9 @@ class _Matched:
     caller running several K x K kinds on one frame forms them once and
     hands them to :func:`detect_frame` in place of the received frame.  The
     Monte-Carlo sweep forms them from the channel taps and its noise draw
-    (``channel._tap_statistics`` gives ``A^H A`` and ``A^H w``, and
-    ``A^H y = A^H A s + A^H w``), never building ``A``;
+    (``channel._tap_correlations`` and ``channel._lag_gram`` give
+    ``A^H A`` and ``A^H w``, and ``A^H y = A^H A s + A^H w``), never
+    building ``A``;
     ``_gram_and_matched`` forms them from ``A`` and ``y``.
     """
 
@@ -404,7 +407,13 @@ def detect_frame(
                 # which is also the noise-dominated limit of unbiased MMSE.
                 est[lo:hi] = _unbias(np.diagonal(g, axis1=1, axis2=2).real) * z
 
-        _split(n_bins, run, n_bins * k_usr * k_usr)
+        # Sized at three entries per stack entry, a third of a chunk sized
+        # by the stack: a chunk's inverse holds about four (n, K, K)
+        # temporaries at once.  At 64 x 14 x 2048 that cut the call's peak
+        # above its inputs from 5.2 to 2.1 MB (``tracemalloc``), and with it
+        # the sweep frame's heap peak below glibc's trim threshold (README,
+        # "Per-frame memory").
+        _split(n_bins, run, 3 * n_bins * k_usr * k_usr)
 
     s_hat_time = np.fft.ifft(est.T, axis=1, norm="ortho")
     return DetectionResult(s_hat_time=s_hat_time, kind=kind, cache=cache)

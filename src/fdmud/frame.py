@@ -5,7 +5,7 @@ Two functions make a received frame from the same symbols and noise draws.
 channel: the cyclic prefix is prepended, the frame is linearly convolved with
 each impulse response, user contributions are summed, white Gaussian noise is
 added, and the prefix is discarded.  It convolves by overlap-save on the
-P-point layout that ``channel._tap_statistics`` correlates on, so one
+P-point layout that ``channel._tap_correlations`` correlates on, so one
 layout serves the channel and its adjoint.  ``transmit_bins`` assumes the
 cyclic prefix makes every channel circulant, and builds each frequency bin
 directly as ``y_n = A_n s_n + w_n``; the Monte-Carlo sweep uses it for the
@@ -14,9 +14,10 @@ M x M MMSE reference.  The assumption is proved, not trusted:
 checks that they agree to rounding and leave the generator in the same state.
 
 The sweep's K x K detectors read only ``A_n^H A_n`` and ``A_n^H y_n``.  It
-forms the second as ``A_n^H A_n s_n + A_n^H w_n``, both terms from
-``channel._tap_statistics`` of the taps and the same noise draw, with no
-(N, M, K) stack ``A`` and no received frame.
+forms the second as ``A_n^H A_n s_n + A_n^H w_n``, both terms from the
+taps and the same noise draw (``channel._tap_correlations`` and
+``channel._lag_gram``), with no (N, M, K) stack ``A`` and no received
+frame.
 """
 
 from __future__ import annotations

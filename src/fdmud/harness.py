@@ -28,7 +28,9 @@ from .channel import (
     BinChannel,
     ChannelConfig,
     _check_matched,
-    _tap_statistics,
+    _correlation_outputs,
+    _lag_gram,
+    _tap_correlations,
     draw_channel,
     to_bin_channels,
 )
@@ -317,20 +319,34 @@ def _run_frame(cfg: ScenarioConfig, fc: FrameConfig, p_idx: int, f_idx: int) -> 
     A function of its own so that a frame's channel and statistics are freed
     before the next frame draws its own.  Every ``K x K`` kind reads the
     same ``A^H A`` and ``A^H y``, so they are formed once per frame, with no
-    (N, M, K) stack ``A``: one pass of ``_tap_statistics`` over the channel
-    taps and the frame's noise draw gives ``G = A^H A`` and ``A^H w``, and
-    ``A^H y = G s + A^H w``.  Only the ``M x M`` reference builds ``A`` and
-    the received samples, from the same noise draw.  Each kind still makes
-    its own ``detect_frame`` call, and so fails on its own.
+    (N, M, K) stack ``A``, in two steps: ``_tap_correlations`` takes the
+    channel taps and the frame's noise draw to the taps' lags and ``A^H w``,
+    and ``_lag_gram`` the lags to ``G = A^H A``; then ``A^H y = G s + A^H w``.
+    Only the ``M x M`` reference builds ``A`` and the received samples, from
+    the same noise draw.  Each kind still makes its own ``detect_frame``
+    call, and so fails on its own.
+
+    The arrays that live to detection (the symbols, their DFT and the
+    correlations' outputs) are allocated before the taps and the noise,
+    which are freed before the Gram is formed, so the Gram takes their
+    space and the frame's heap peaks at about one Gram above those arrays.
+    That peak stays below glibc's trim threshold, so the heap the frame
+    frees is kept for the next one rather than returned to the kernel and
+    faulted in again (README, "Per-frame memory").  Each stream is keyed by
+    (seed, point, frame, tag), so the order of the draws moves no byte.
     """
     seed = cfg.channel.seed
-    realization = draw_channel(replace(cfg.channel, seed=_stream_seed(seed, p_idx, f_idx, 0)))
+    m_ant, k_usr, length = cfg.channel.num_antennas, cfg.channel.num_users, cfg.channel.channel_len
     sym_rng = np.random.default_rng([seed, p_idx, f_idx, 1])
     noise_rng = np.random.default_rng([seed, p_idx, f_idx, 2])
-    sf = generate_symbols(cfg.channel.num_users, fc.frame_len, fc.constellation, sym_rng)
-    m_ant, k_usr, _ = realization.taps.shape
+    sf = generate_symbols(k_usr, fc.frame_len, fc.constellation, sym_rng)
+    k_by_k = any(kind is not DetectorKind.MMSE for kind in cfg.detectors)
+    if k_by_k:
+        s_fd = np.fft.fft(sf.symbols, axis=1, norm="ortho").T[:, :, np.newaxis]  # (N, K, 1)
+        lags, matched = _correlation_outputs(k_usr, length, fc.frame_len)
+    realization = draw_channel(replace(cfg.channel, seed=_stream_seed(seed, p_idx, f_idx, 0)))
     noise = _awgn(m_ant, fc.frame_len, fc.sigma_w2, noise_rng)
-    rf = matched = None
+    rf = statistics = None
     if DetectorKind.MMSE in cfg.detectors:
         bins = to_bin_channels(realization)
         rf = _transmit_bins(sf, bins, fc, noise)
@@ -338,19 +354,21 @@ def _run_frame(cfg: ScenarioConfig, fc: FrameConfig, p_idx: int, f_idx: int) -> 
         # Detection from the statistics checks them against this shape and
         # reads nothing else of it; mc-sweep's traced run counts bins from it.
         bins = BinChannel(a=np.broadcast_to(np.complex128(0), (fc.frame_len, m_ant, k_usr)))
-    if any(kind is not DetectorKind.MMSE for kind in cfg.detectors):
-        gram, noise_matched = _tap_statistics(realization.taps, noise)
-        s_fd = np.fft.fft(sf.symbols, axis=1, norm="ortho").T[:, :, np.newaxis]  # (N, K, 1)
+    if k_by_k:
+        _tap_correlations(realization.taps, noise, lags, matched)
+    del realization, noise
+    if k_by_k:
+        gram = _lag_gram(lags, length, fc.frame_len)
+        del lags
+        _check_matched(matched)  # A^H w
         # The check below reports a non-finite A^H y, so NumPy need not warn.
         with np.errstate(invalid="ignore", over="ignore"):
-            matched = np.matmul(gram, s_fd)[..., 0]
-            matched += noise_matched
+            matched += np.matmul(gram, s_fd)[..., 0]
         _check_matched(matched)
-        matched = _Matched(gram, matched)
-    del realization, noise
+        statistics = _Matched(gram, matched)
     sinr = {}
     for kind in cfg.detectors:
-        data = rf if kind is DetectorKind.MMSE else matched
+        data = rf if kind is DetectorKind.MMSE else statistics
         try:
             sinr[kind] = measure_sinr(detect_frame(data, bins, fc.sigma_w2, kind), sf)
         except (SingularMatrixError, DegenerateScaleError):

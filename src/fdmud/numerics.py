@@ -26,8 +26,11 @@ concurrently.  ``_split`` runs each frame stage on one level of
 cache-sized contiguous chunks of bins (or of antennas), sized by the arrays
 the stage reads; the ``K x K`` stages that call ``invert_hpd``, whose
 triangular inverse costs a fixed amount per call, size theirs by their
-``(n, K, K)`` stacks, and the ``M x M`` reference by its ``(n, M, M)``
-covariance stack.  Scalars are double precision throughout.
+``(n, K, K)`` stacks (the detectors at three entries per stack entry, for
+the inverse's temporaries: 21 chunks at 64 x 14 x 2048 and 6 at
+128 x 16 x 512), and the ``M x M`` reference by its ``(n, M, M)``
+covariance stack, 18 chunks at 64 x 14 x 256.  Scalars are double
+precision throughout.
 """
 
 from __future__ import annotations

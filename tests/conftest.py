@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from fdmud import harness
-from fdmud.channel import BinChannel
+from fdmud.channel import (
+    BinChannel,
+    _check_matched,
+    _correlation_outputs,
+    _lag_gram,
+    _tap_correlations,
+)
 from fdmud.detect import _gram_and_matched, _Matched, detect_frame
 from fdmud.frame import ReceivedFrame
 
@@ -55,23 +61,36 @@ def frame_statistics(rf, bins):
     return _Matched(*_gram_and_matched(np.asarray(bins.a), rf.samples.T))
 
 
+def tap_statistics(taps, signal):
+    """``A^H A`` and ``A^H y`` from the taps by the sweep's two steps, ``y`` the unitary DFT of ``signal``.
+
+    The correlations fill outputs allocated first, the Gram step takes their
+    lags to the bins, and ``A^H y`` is checked last, as the sweep checks it.
+    """
+    _, k_usr, length = taps.shape
+    n_bins = signal.shape[1]
+    lags, matched = _correlation_outputs(k_usr, length, n_bins)
+    _tap_correlations(taps, signal, lags, matched)
+    gram = _lag_gram(lags, length, n_bins)
+    _check_matched(matched)
+    return gram, matched
+
+
 def edit_sweep_statistics(monkeypatch, edit):
     """Have the sweep detect from statistics that ``edit(gram, matched)`` changed in place.
 
-    The sweep forms each frame's ``A^H A`` and ``A^H w`` from the taps and
-    the noise in one kernel, then adds ``A^H A s`` to the second, so a
-    channel fault is injected there: a dead user column ``k`` at bin ``n``
-    zeroes ``gram[n, k, :]``, ``gram[n, :, k]`` and ``matched[n, k]``, and so
-    the sweep's ``A^H y`` at ``[n, k]``.
+    The sweep forms each frame's ``A^H A`` and ``A^H y`` from the taps and
+    the noise and hands them to detection as a ``_Matched``, so a channel
+    fault is injected there: a dead user column ``k`` at bin ``n`` zeroes
+    ``gram[n, k, :]``, ``gram[n, :, k]`` and the sweep's ``A^H y`` at
+    ``[n, k]``.
     """
-    original = harness._tap_statistics
 
-    def tap_statistics(taps, signal):
-        gram, matched = original(taps, signal)
+    def statistics(gram, matched):
         edit(gram, matched)
-        return gram, matched
+        return _Matched(gram, matched)
 
-    monkeypatch.setattr(harness, "_tap_statistics", tap_statistics)
+    monkeypatch.setattr(harness, "_Matched", statistics)
 
 
 def kill_column(gram, matched, n, k):

@@ -10,14 +10,19 @@ from fdmud.channel import (
     BinChannel,
     ChannelConfig,
     ChannelRealization,
-    _tap_statistics,
+    _BLOCK_ANTENNAS,
+    _check_matched,
+    _check_power,
+    _lag_gram,
+    _overlap_save,
+    _tap_correlations,
     draw_channel,
     to_bin_channels,
 )
 
 from fdmud.detect import _gram_and_matched
 
-from conftest import build_circulant, crandn, dft_matrix
+from conftest import build_circulant, crandn, dft_matrix, tap_statistics
 
 
 def small_config(**overrides):
@@ -245,7 +250,7 @@ def assert_statistics_agree(realization, signal):
     """The tap statistics against ``A^H A`` and ``A^H y``, ``y`` the unitary DFT of ``signal``."""
     a = to_bin_channels(realization).a
     expected = _gram_and_matched(a, np.fft.fft(signal, axis=1, norm="ortho").T)
-    for got, want in zip(_tap_statistics(realization.taps, signal), expected):
+    for got, want in zip(tap_statistics(realization.taps, signal), expected):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -286,10 +291,10 @@ class TestTapStatistics:
         # 1.2 MB, and the (P, M, K) spectrum alone would take 8.7 MB.
         realization = draw_channel(ChannelConfig(256, 8, 1024, 130, decay_samples=25.0, seed=1))
         signal = crandn(np.random.default_rng(2), 256, 1024)
-        _tap_statistics(realization.taps, signal)  # one-time allocations out of the way
+        tap_statistics(realization.taps, signal)  # one-time allocations out of the way
         tracemalloc.start()
         try:
-            gram, matched = _tap_statistics(realization.taps, signal)
+            gram, matched = tap_statistics(realization.taps, signal)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -301,14 +306,14 @@ class TestTapStatistics:
         realization = draw_channel(small_config())
         realization.taps[1, 0, 2] = value
         with pytest.raises(ValueError, match=r"^bin 0: channel entries must be finite$"):
-            _tap_statistics(realization.taps, np.ones((4, 32), dtype=complex))
+            tap_statistics(realization.taps, np.ones((4, 32), dtype=complex))
 
     @pytest.mark.filterwarnings("error")
     def test_finite_taps_whose_gram_overflows(self):
         realization = draw_channel(small_config())
         realization.taps[1] *= 1e160  # finite taps; their squares are not
         with pytest.raises(ValueError, match=r"^bin 0: the channel's A\^H A overflows$"):
-            _tap_statistics(realization.taps, np.ones((4, 32), dtype=complex))
+            tap_statistics(realization.taps, np.ones((4, 32), dtype=complex))
 
     @pytest.mark.filterwarnings("error")
     def test_matched_overflow_names_the_first_bin(self):
@@ -317,4 +322,80 @@ class TestTapStatistics:
         signal = np.zeros((4, 8), dtype=complex)
         signal[:, 5] = 1e200  # a finite signal whose A^H y is not
         with pytest.raises(ValueError, match=r"^bin 0: the matched-filter output A\^H y overflows$"):
-            _tap_statistics(realization.taps, signal)
+            tap_statistics(realization.taps, signal)
+
+
+def one_pass_tap_statistics(taps, signal):
+    """The statistics kernel as one pass: correlations and Gram in one call.
+
+    The sweep now runs the two steps apart, freeing the taps and the signal
+    between them; this is the one-pass form they replaced, kept as the
+    oracle their bytes are held to.
+    """
+    m_ant, k_usr, length = taps.shape
+    n_bins = signal.shape[1]
+    p, step, n_segments = _overlap_save(length, n_bins)
+    starts = (np.arange(p)[:, np.newaxis] + step * np.arange(n_segments)) % n_bins
+    lag_spectra = np.zeros((p, k_usr, k_usr), dtype=np.complex128)
+    corr_spectra = np.zeros((p, k_usr, n_segments), dtype=np.complex128)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, m_ant, _BLOCK_ANTENNAS):
+            hi = min(lo + _BLOCK_ANTENNAS, m_ant)
+            spectra = np.zeros((p, k_usr, hi - lo), dtype=np.complex128)
+            spectra[:length] = taps[lo:hi].transpose(2, 1, 0)
+            np.fft.fft(spectra, axis=0, out=spectra)
+            np.conjugate(spectra, out=spectra)
+            lag_spectra += np.matmul(spectra, spectra.conj().transpose(0, 2, 1))
+            segments = signal[lo:hi].T[starts]
+            np.fft.fft(segments, axis=0, out=segments)
+            corr_spectra += np.matmul(spectra, segments.transpose(0, 2, 1))
+        corr = np.fft.ifft(corr_spectra, axis=0, out=corr_spectra)[:step]
+        corr = corr.transpose(1, 2, 0).reshape(k_usr, n_segments * step)[:, :n_bins]
+        matched = np.fft.fft(corr, axis=1, norm="ortho").T
+        lags = np.fft.ifft(lag_spectra, axis=0, out=lag_spectra)
+        gram = np.zeros((n_bins, k_usr, k_usr), dtype=np.complex128)
+        gram[:length] = lags[:length]
+        gram[np.arange(1 - length, 0) % n_bins] += lags[p + 1 - length :]
+        np.fft.fft(gram, axis=0, out=gram)
+    _check_power(gram.diagonal(axis1=1, axis2=2), lambda _: np.isfinite(taps).all())
+    _check_matched(matched)
+    return gram, matched
+
+
+def assert_two_steps_give_the_one_pass_bytes(m_ant, k_usr, frame_len, length, rng_seed):
+    realization = draw_channel(
+        ChannelConfig(m_ant, k_usr, frame_len, length, decay_samples=3.0, seed=rng_seed)
+    )
+    signal = crandn(np.random.default_rng(rng_seed), m_ant, frame_len)
+    # Outputs that hold NaN beforehand: the correlations write every entry.
+    lags = np.full((_overlap_save(length, frame_len)[0], k_usr, k_usr), np.nan, dtype=complex)
+    matched = np.full((frame_len, k_usr), np.nan, dtype=complex)
+    _tap_correlations(realization.taps, signal, lags, matched)
+    gram = _lag_gram(lags, length, frame_len)
+    for got, want in zip((gram, matched), one_pass_tap_statistics(realization.taps, signal)):
+        assert np.array_equal(got, want)
+
+
+class TestTwoStepsEqualOnePass:
+    """The correlations and the Gram step, run apart, give the one-pass kernel's bytes."""
+
+    @pytest.mark.parametrize(
+        "m_ant, k_usr, frame_len, length",
+        [
+            (4, 2, 8, 1),  # L = 1
+            (5, 3, 9, 9),  # 2L - 1 = 17 > N: the fold wraps
+            (40, 6, 64, 40),  # 2L - 1 = 79 > N over three blocks
+            (6, 3, 1, 1),  # N = 1
+            (37, 5, 300, 20),  # M not a multiple of 16
+            (17, 16, 128, 30),  # K = M - 1 over two blocks
+            (64, 14, 2048, 130),  # the default sweep frame
+        ],
+    )
+    def test_listed_shapes(self, m_ant, k_usr, frame_len, length):
+        assert_two_steps_give_the_one_pass_bytes(m_ant, k_usr, frame_len, length, m_ant + length)
+
+    @seed(20261020)
+    @settings(max_examples=40, deadline=None)
+    @given(gram_shapes(), st.integers(0, 2**32))
+    def test_random_shapes(self, shape, rng_seed):
+        assert_two_steps_give_the_one_pass_bytes(*shape, rng_seed)

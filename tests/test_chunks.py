@@ -11,7 +11,6 @@ from fdmud import detect, numerics, precode
 from fdmud.channel import (
     BinChannel,
     ChannelConfig,
-    _tap_statistics,
     draw_channel,
     to_bin_channels,
 )
@@ -29,7 +28,7 @@ from fdmud.harness import ScenarioConfig, run_monte_carlo
 from fdmud.numerics import DegenerateScaleError, SingularMatrixError
 from fdmud.precode import precode_frame
 
-from conftest import crandn, edit_sweep_statistics, frame_statistics, kill_column
+from conftest import crandn, edit_sweep_statistics, frame_statistics, kill_column, tap_statistics
 
 N_BINS = 32  # not a multiple of 3: three chunks differ in size
 WHOLE = 10**9  # a minimum chunk size no test input reaches
@@ -58,7 +57,7 @@ def every_output():
     rf = transmit_bins(sf, bins, fc, rng)
     out = {"bins": bins.a, "received": rf.samples, "next_draw": rng.standard_normal(4)}
     noise = _awgn(6, N_BINS, fc.sigma_w2, np.random.default_rng(24))
-    out["statistics.gram"], out["statistics.matched"] = _tap_statistics(realization.taps, noise)
+    out["statistics.gram"], out["statistics.matched"] = tap_statistics(realization.taps, noise)
     rng = np.random.default_rng(23)
     out["transmit"] = transmit(sf, realization, fc, rng).samples
     out["transmit.next_draw"] = rng.standard_normal(4)
@@ -101,8 +100,9 @@ def dead_column_frame(rng, bad_bins, m_ant=4, k_usr=2, n_bins=12):
 # matched-filter products, the precoder's A^T A^* and its steering) on
 # chunks sized by A.  At 32 x 14 x 200 the K x K stack has 39,200 entries, A
 # and y 96,000 and A alone 89,600, so a minimum of 100 bins of 14 x 14 makes
-# two K x K chunks of 100 bins and four chunks of 50 for every stage that
-# reads A.  From 84 bins of 14 x 14 up, NumPy lays out ``inv + inv^H``
+# two chunks of 100 bins for the precoder's inverse, six of 33 or 34 for
+# the K x K detectors, which count three entries per stack entry, and four
+# chunks of 50 for every stage that reads A.  From 84 bins of 14 x 14 up, NumPy lays out ``inv + inv^H``
 # column-major unless told otherwise, so one-bin chunks are compared as well.
 STAGED = dict(m_ant=32, k_usr=14, n_bins=200)
 STAGED_MIN = 100 * 14 * 14
@@ -155,7 +155,7 @@ def test_k_by_k_stages_do_not_depend_on_chunks(split, rng, chunk_log, min_chunk)
         # forms A^T A^*, inverts it, then steers through A.  Every stage
         # splits the whole frame, and none splits inside another's chunk.
         quarters, halves = (200, [50] * 4), (200, [100, 100])
-        detection = [quarters, halves]
+        detection = [quarters, (200, [33, 33, 34] * 2)]
         assert chunk_log == detection + [quarters, halves, quarters] + detection
 
 
@@ -207,7 +207,8 @@ def test_statistics_read_only_the_shape_of_the_bin_channels(split, rng, min_chun
 
 
 class TestStagedErrorsNameTheGlobalBin:
-    """Bin 170 sits in the second K x K chunk and the fourth chunk sized by A."""
+    """Bin 170 sits in the last K x K detector chunk, the precoder inverse's second
+    chunk and the fourth chunk sized by A."""
 
     def test_zero_power_column_in_mrc_mmse(self, split, rng):
         split(STAGED_MIN)

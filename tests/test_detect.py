@@ -493,7 +493,7 @@ class TestDetectFrame:
     def test_mrc_mmse_from_the_frame_holds_one_k_by_k_stack(self, rng):
         # The inverse cache takes the buffer of the frame's own Gram, so at
         # 64 x 14 x 2048 the call holds one (N, K, K) stack, 6.4 MB, beside
-        # chunk-sized work: 12.3 MB in all.  A whole Gram beside a separate
+        # chunk-sized work: 9.2 MB in all.  A whole Gram beside a separate
         # cache peaks at 18.7 MB.
         bins = BinChannel(a=crandn(rng, 2048, 64, 14))
         rf = ReceivedFrame(samples=crandn(rng, 64, 2048), domain="frequency")

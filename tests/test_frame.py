@@ -9,7 +9,6 @@ from fdmud.channel import (
     ChannelRealization,
     _next_fast_len,
     _overlap_save,
-    _tap_statistics,
     draw_channel,
     to_bin_channels,
 )
@@ -27,7 +26,7 @@ from fdmud.frame import (
     transmit_bins,
 )
 
-from conftest import build_circulant, crandn
+from conftest import build_circulant, crandn, tap_statistics
 
 
 def identity_realization(num_antennas, num_users, frame_len):
@@ -148,7 +147,7 @@ class TestNextFastLen:
 
     @pytest.mark.parametrize("frame_len, segments", [(2048, 16), (512, 4), (256, 2)])
     def test_benchmark_shapes(self, frame_len, segments):
-        # the overlap-save layout that transmit and _tap_statistics share for
+        # the overlap-save layout that transmit and _tap_correlations share for
         # the benchmark's 130-tap channel: P = 264 points, 135 samples a step
         assert _next_fast_len(2 * 130 - 1) == 264
         assert _overlap_save(130, frame_len) == (264, 135, segments)
@@ -238,7 +237,7 @@ class TestTapStatisticsOfReceivedFrames:
             channel.num_users, fc.frame_len, fc.constellation, np.random.default_rng(rng_seed)
         )
         rf = transmit(sf, realization, fc, np.random.default_rng(rng_seed + 1))
-        gram, matched = _tap_statistics(realization.taps, rf.samples)
+        gram, matched = tap_statistics(realization.taps, rf.samples)
         expected = _gram_and_matched(
             to_bin_channels(realization).a, to_frequency_domain(rf).samples.T
         )

@@ -315,16 +315,16 @@ class TestRunMonteCarlo:
 
     def test_gram_formed_once_per_frame(self, monkeypatch):
         formed = []
-        original = harness._tap_statistics
+        original = harness._lag_gram
 
-        def spy(taps, signal):
-            formed.append(signal.shape[1])
-            return original(taps, signal)
+        def spy(lags, length, n_bins):
+            formed.append(n_bins)
+            return original(lags, length, n_bins)
 
         def from_a(a, y):
             raise AssertionError("the sweep formed A^H A from A")
 
-        monkeypatch.setattr(harness, "_tap_statistics", spy)
+        monkeypatch.setattr(harness, "_lag_gram", spy)
         monkeypatch.setattr(detect, "_gram_and_matched", from_a)
         report = run_monte_carlo(tiny_scenario(detectors=tuple(DetectorKind)))
         assert all(row.n_failures == 0 for row in report.rows)
