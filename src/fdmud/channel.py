@@ -89,8 +89,8 @@ class ChannelConfig:
         if not self.decay_samples > 0:
             raise ValueError("decay_samples must be positive")
         low, high = self.power_spread
-        if not 0 < low < high:
-            raise ValueError(f"power_spread must satisfy 0 < low < high, got {self.power_spread}")
+        if not 0 < low < high < np.inf:
+            raise ValueError(f"power_spread must satisfy 0 < low < high < inf, got {self.power_spread}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -1,23 +1,23 @@
 """Symbol generation, cyclic-prefix transmission and frequency-domain framing.
 
-Two functions make a received frame from the same symbols and noise draws.
-``transmit`` is a true transmitter emulation and assumes nothing about the
-channel: the cyclic prefix is prepended, the frame is linearly convolved with
-each impulse response, user contributions are summed, white Gaussian noise is
-added, and the prefix is discarded.  It convolves by overlap-save on the
-P-point layout that ``channel._tap_correlations`` correlates on, so one
-layout serves the channel and its adjoint.  ``transmit_bins`` assumes the
-cyclic prefix makes every channel circulant, and builds each frequency bin
-directly as ``y_n = A_n s_n + w_n``; the Monte-Carlo sweep uses it for the
-M x M MMSE reference.  The assumption is proved, not trusted:
-``verify.check_cp_circularity`` compares the two paths, and the test suite
-checks that they agree to rounding and leave the generator in the same state.
+``transmit`` is the library's one transmitter emulation, and it assumes
+nothing about the channel: the cyclic prefix is prepended, the frame is
+linearly convolved with each impulse response, user contributions are
+summed, white Gaussian noise is added, and the prefix is discarded.  It
+convolves by overlap-save on the P-point layout that
+``channel._tap_correlations`` correlates on, so one layout serves the
+channel and its adjoint.  The Monte-Carlo sweep's M x M MMSE reference
+detects ``to_frequency_domain`` of its output.
 
 The sweep's K x K detectors read only ``A_n^H A_n`` and ``A_n^H y_n``.  It
 forms the second as ``A_n^H A_n s_n + A_n^H w_n``, both terms from the
 taps and the same noise draw (``channel._tap_correlations`` and
 ``channel._lag_gram``), with no (N, M, K) stack ``A`` and no received
-frame.
+frame.  Those statistics assume that the cyclic prefix makes every channel
+circulant, which ``transmit`` does not.  The assumption is proved, not
+trusted: ``verify.check_cp_circularity`` compares ``transmit`` with the
+per-bin model ``A_n s_n + w_n``, and the test suite checks the statistics
+against those of the frame ``transmit`` sends.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _BLOCK_ANTENNAS, BinChannel, ChannelRealization, _overlap_save
+from .channel import _BLOCK_ANTENNAS, ChannelRealization, _overlap_save
 
 __all__ = [
     "FrameConfig",
@@ -35,7 +35,6 @@ __all__ = [
     "constellation_points",
     "generate_symbols",
     "transmit",
-    "transmit_bins",
     "to_frequency_domain",
     "bin_vector",
 ]
@@ -139,7 +138,7 @@ def _check_cp(channel_len: int, cp_len: int) -> None:
 
 
 def _awgn(num_antennas: int, frame_len: int, sigma_w2: float, rng) -> np.ndarray:
-    """Time-domain noise of both transmit paths: one draw order, one stream."""
+    """Time-domain noise of ``transmit`` and the sweep's statistics: one draw order, one stream."""
     sigma = np.sqrt(sigma_w2 / 2.0)
     # The bytes of ``sigma * (x + 1j * y)``, written into one array with no
     # complex temporaries.
@@ -147,14 +146,6 @@ def _awgn(num_antennas: int, frame_len: int, sigma_w2: float, rng) -> np.ndarray
     np.multiply(sigma, rng.standard_normal((num_antennas, frame_len)), out=noise.real)
     np.multiply(sigma, rng.standard_normal((num_antennas, frame_len)), out=noise.imag)
     return noise
-
-
-def _check_frame(symbols: np.ndarray, num_users: int, fc: FrameConfig) -> None:
-    sent_users, frame_len = symbols.shape
-    if sent_users != num_users:
-        raise ValueError(f"user count mismatch: frame has {sent_users}, channel has {num_users}")
-    if frame_len != fc.frame_len:
-        raise ValueError(f"frame length mismatch: frame has {frame_len}, config has {fc.frame_len}")
 
 
 def transmit(
@@ -180,9 +171,13 @@ def transmit(
     """
     symbols = np.asarray(sf.symbols)
     m_ant, k_usr, length = ch.taps.shape
-    _check_frame(symbols, k_usr, fc)
+    sent_users, frame_len = symbols.shape
+    if sent_users != k_usr:
+        raise ValueError(f"user count mismatch: frame has {sent_users}, channel has {k_usr}")
+    if frame_len != fc.frame_len:
+        raise ValueError(f"frame length mismatch: frame has {frame_len}, config has {fc.frame_len}")
     _check_cp(length, fc.cp_len)
-    frame_len, cp_len = fc.frame_len, fc.cp_len
+    cp_len = fc.cp_len
 
     p, step, n_segments = _overlap_save(length, frame_len)
     # Window j starts L - 1 samples before output j * step, inside the
@@ -205,35 +200,6 @@ def transmit(
         mixed = mixed.transpose(1, 2, 0).reshape(hi - lo, n_segments * step)[:, :frame_len]
         np.add(mixed, noise[lo:hi], out=samples[lo:hi])
     return ReceivedFrame(samples=samples, domain=TIME)
-
-
-def transmit_bins(sf: SymbolFrame, bins: BinChannel, fc: FrameConfig, rng) -> ReceivedFrame:
-    """The frequency-domain frame ``transmit`` would give, built per bin.
-
-    Bin n is ``A_n s_n + w_n``, with ``s`` and ``w`` the unitary DFTs of the
-    symbols and of the same noise ``transmit`` draws from ``rng``, so one
-    generator state gives ``to_frequency_domain(transmit(...))`` to rounding
-    and leaves the generator where ``transmit`` leaves it.  It assumes the
-    cyclic prefix covers the channel, which the bin channels cannot show:
-    the caller checks it (``ScenarioConfig`` does, before a sweep draws
-    anything).
-    """
-    noise = _awgn(bins.a.shape[1], fc.frame_len, fc.sigma_w2, rng)
-    return _transmit_bins(sf, bins, fc, noise)
-
-
-def _transmit_bins(sf: SymbolFrame, bins: BinChannel, fc: FrameConfig, noise) -> ReceivedFrame:
-    """:func:`transmit_bins` with its time-domain noise (M, N) already drawn."""
-    symbols = np.asarray(sf.symbols)
-    n_bins, _, k_usr = bins.a.shape
-    _check_frame(symbols, k_usr, fc)
-    if n_bins != fc.frame_len:
-        raise ValueError(f"bin count mismatch: channel has {n_bins}, config has {fc.frame_len}")
-
-    s_fd = np.fft.fft(symbols, axis=1, norm="ortho").T[:, :, np.newaxis]  # (N, K, 1)
-    samples = np.fft.fft(noise, axis=1, norm="ortho")  # (M, N)
-    samples += np.matmul(bins.a, s_fd)[..., 0].T
-    return ReceivedFrame(samples=samples, domain=FREQUENCY)
 
 
 def to_frequency_domain(rf: ReceivedFrame) -> ReceivedFrame:

@@ -13,6 +13,10 @@ SINR is measured genie-aided: the detectors are unbiased, the transmitted
 symbols have unit energy, so per-user SINR is the reciprocal of the mean
 squared error against the known truth.  Reported values average linear SINR
 across users and frames first, then convert to dB.
+
+The Monte-Carlo runner has one transmitter, ``frame.transmit``: the ``M x M``
+MMSE reference detects the prefixed frame it sends, and the ``K x K`` kinds
+read statistics formed from the same taps and noise.
 """
 
 from __future__ import annotations
@@ -35,10 +39,15 @@ from .channel import (
     to_bin_channels,
 )
 from .detect import DetectionResult, DetectorKind, _Matched, detect_frame
-from .frame import FrameConfig, SymbolFrame, _awgn, _check_cp, _transmit_bins, generate_symbols
-
-# Unused here, but benchmarks/workloads.py wraps both on this module.
-from .frame import to_frequency_domain, transmit  # noqa: F401
+from .frame import (
+    FrameConfig,
+    SymbolFrame,
+    _awgn,
+    _check_cp,
+    generate_symbols,
+    to_frequency_domain,
+    transmit,
+)
 from .numerics import DegenerateScaleError, SingularMatrixError
 
 __all__ = [
@@ -174,12 +183,21 @@ def parse_sweep(text: str) -> tuple[float, ...]:
                 raise ValueError(f"sweep {name} must be finite, got {value}")
         if step <= 0:
             raise ValueError("sweep step must be positive")
-        count = int(round((stop - start) / step)) + 1
+        span = max((stop - start) / step, -1.0)  # a reversed range is empty
+        if span == np.inf:
+            raise ValueError(f"sweep range {text!r} has too many points to count")
+        count = int(round(span)) + 1
         points = tuple(start + i * step for i in range(max(count, 0)) if start + i * step <= stop + 1e-9)
         if not points:
             raise ValueError(f"empty sweep range {text!r}")
         return points
-    return tuple(float(p) for p in text.split(","))
+    points = []
+    for idx, item in enumerate(text.split(",")):
+        try:
+            points.append(float(item))
+        except ValueError:
+            raise ValueError(f"sweep item {idx} is not a number: {item!r}") from None
+    return tuple(points)
 
 
 def parse_detectors(text: str) -> tuple[DetectorKind, ...]:
@@ -210,7 +228,8 @@ class ScenarioConfig:
                 f"channel frame_len {self.channel.frame_len} does not match "
                 f"frame frame_len {self.frame.frame_len}"
             )
-        # The sweep builds frames per bin, which assumes a prefix this long.
+        # Before a sweep draws anything: the K x K statistics assume the
+        # channel circulant, which only a prefix this long makes it.
         _check_cp(self.channel.channel_len, self.frame.cp_len)
         if self.frames_per_point < 1:
             raise ValueError("frames_per_point must be at least 1")
@@ -322,9 +341,12 @@ def _run_frame(cfg: ScenarioConfig, fc: FrameConfig, p_idx: int, f_idx: int) -> 
     (N, M, K) stack ``A``, in two steps: ``_tap_correlations`` takes the
     channel taps and the frame's noise draw to the taps' lags and ``A^H w``,
     and ``_lag_gram`` the lags to ``G = A^H A``; then ``A^H y = G s + A^H w``.
-    Only the ``M x M`` reference builds ``A`` and the received samples, from
-    the same noise draw.  Each kind still makes its own ``detect_frame``
-    call, and so fails on its own.
+    Only the ``M x M`` reference builds ``A`` and a received frame: it sends
+    the symbols through the taps with ``transmit``, which draws the same
+    noise from its own generator on the same stream, and detects the frame's
+    unitary DFT.  So the reference hears the prefixed frame, linearly
+    convolved, while the statistics assume the channel circulant.  Each
+    kind still makes its own ``detect_frame`` call, and so fails on its own.
 
     The arrays that live to detection (the symbols, their DFT and the
     correlations' outputs) are allocated before the taps and the noise,
@@ -338,25 +360,26 @@ def _run_frame(cfg: ScenarioConfig, fc: FrameConfig, p_idx: int, f_idx: int) -> 
     seed = cfg.channel.seed
     m_ant, k_usr, length = cfg.channel.num_antennas, cfg.channel.num_users, cfg.channel.channel_len
     sym_rng = np.random.default_rng([seed, p_idx, f_idx, 1])
-    noise_rng = np.random.default_rng([seed, p_idx, f_idx, 2])
+    noise_key = [seed, p_idx, f_idx, 2]  # the reference and the statistics hear one noise draw
     sf = generate_symbols(k_usr, fc.frame_len, fc.constellation, sym_rng)
     k_by_k = any(kind is not DetectorKind.MMSE for kind in cfg.detectors)
     if k_by_k:
         s_fd = np.fft.fft(sf.symbols, axis=1, norm="ortho").T[:, :, np.newaxis]  # (N, K, 1)
         lags, matched = _correlation_outputs(k_usr, length, fc.frame_len)
     realization = draw_channel(replace(cfg.channel, seed=_stream_seed(seed, p_idx, f_idx, 0)))
-    noise = _awgn(m_ant, fc.frame_len, fc.sigma_w2, noise_rng)
     rf = statistics = None
     if DetectorKind.MMSE in cfg.detectors:
         bins = to_bin_channels(realization)
-        rf = _transmit_bins(sf, bins, fc, noise)
+        rf = to_frequency_domain(transmit(sf, realization, fc, np.random.default_rng(noise_key)))
     else:
         # Detection from the statistics checks them against this shape and
         # reads nothing else of it; mc-sweep's traced run counts bins from it.
         bins = BinChannel(a=np.broadcast_to(np.complex128(0), (fc.frame_len, m_ant, k_usr)))
     if k_by_k:
+        noise = _awgn(m_ant, fc.frame_len, fc.sigma_w2, np.random.default_rng(noise_key))
         _tap_correlations(realization.taps, noise, lags, matched)
-    del realization, noise
+        del noise
+    del realization
     if k_by_k:
         gram = _lag_gram(lags, length, fc.frame_len)
         del lags
@@ -382,8 +405,8 @@ def run_monte_carlo(cfg: ScenarioConfig) -> SinrReport:
     Per sweep point and frame: draw a fresh channel, generate symbols and
     noise, and run each requested detector on the same frame: the ``K x K``
     ones on its ``A^H A`` and ``A^H y``, formed once from the channel taps,
-    and the ``M x M`` reference on the received bins ``A_n s_n + w_n`` that
-    ``transmit_bins`` builds from the same noise.  All randomness is
+    and the ``M x M`` reference on the received frame that ``transmit``
+    sends through the same taps with the same noise.  All randomness is
     keyed by (seed, point index, frame index), so identical configs produce
     byte-identical CSV output under one ``RNG_LAYOUT``, regardless of
     execution order.  Frames on which a detector fails (a singular bin, or a

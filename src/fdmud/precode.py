@@ -10,7 +10,8 @@ downlink Gram at all.  The direct path forms its Gram stack with the
 uplink's checked ``detect._gram``, as ``A^T A^* = (A^*)^H A^*``, in chunks
 of bins sized by ``A``, then inverts it in chunks sized by the ``(n, K, K)``
 stack, as in ``detect_frame``; its agreement with the cache path is the
-cross-check the test suite runs.  Both paths steer in chunks sized by ``A``.
+cross-check the test suite runs.  Both paths steer the whole frame in one
+product.
 
 The precoder algebra is written once, over a whole stack of bins, in
 ``precode_frame``; one bin is the N = 1 frame (a length-1 unitary DFT is the
@@ -85,10 +86,11 @@ def precode_frame(
             raise ValueError(
                 f"cache was built for sigma_w2={cache.sigma_w2}, precoder asked for {sigma_w2}"
             )
-    # One level of chunks per stage, each sized by the arrays it reads.  The
-    # steering stage reads the downlink inverses conjugated, as the cache
-    # holds them, and conjugating back is exact.  Without cached scalars the
-    # stack first holds the downlink Gram, each chunk's until it is read.
+    # The Gram and inverse stages take one level of chunks each, sized by
+    # the arrays they read; steering runs whole.  It reads the downlink
+    # inverses conjugated, as the cache holds them, and conjugating back is
+    # exact.  Without cached scalars the stack first holds the downlink
+    # Gram, each chunk's until it is read.
     inv_conj, beta = (None, None) if cache is None else (cache.inv, cache.unbias)
     if beta is None:
         inv_conj = np.empty((n_bins, k_usr, k_usr), dtype=np.complex128)
@@ -107,13 +109,7 @@ def precode_frame(
         _split(n_bins, form, a.size)
         _split(n_bins, invert, n_bins * k_usr * k_usr)
 
-    x = np.empty((n_bins, m_ant), dtype=np.complex128)
-
-    def steer(lo: int, hi: int) -> None:
-        scaled = beta[lo:hi] * s_fd[lo:hi]
-        v = np.matmul(np.conj(inv_conj[lo:hi]), scaled[:, :, np.newaxis])
-        # A^* v as conj(A conj(v)): the same products, without a conjugated copy of A.
-        x[lo:hi] = np.matmul(a[lo:hi], v.conj()).conj()[..., 0]
-
-    _split(n_bins, steer, a.size)
+    v = np.matmul(np.conj(inv_conj), (beta * s_fd)[:, :, np.newaxis])
+    # A^* v as conj(A conj(v)): the same products, without a conjugated copy of A.
+    x = np.matmul(a, v.conj()).conj()[..., 0]
     return PrecodeResult(x=x.T, beta_used=beta.T)

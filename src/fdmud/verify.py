@@ -15,14 +15,7 @@ import numpy as np
 
 from .channel import BinChannel, ChannelConfig, draw_channel, to_bin_channels
 from .detect import DetectorKind, detect_frame, mmse_bin, mrc_bin, mrcmmse_bin
-from .frame import (
-    FrameConfig,
-    SymbolFrame,
-    generate_symbols,
-    to_frequency_domain,
-    transmit,
-    transmit_bins,
-)
+from .frame import FrameConfig, SymbolFrame, _awgn, generate_symbols, to_frequency_domain, transmit
 from .harness import SCENARIO_TABLE, build_scenario
 from .numerics import _split, diag_of_product, invert_hpd
 from .precode import precode_frame
@@ -195,7 +188,11 @@ def check_noise_gain_trace(seed: int = 4) -> CheckResult:
 
 
 def check_cp_circularity(seed: int = 5) -> CheckResult:
-    """The noise-free transmit path equals the per-bin model ``transmit_bins``."""
+    """The noise-free transmit path equals the per-bin model ``A_n s_n + w_n``.
+
+    The model draws its zero noise from the generator as ``transmit`` does,
+    so the symbols of the next size keep their place in the stream.
+    """
     sizes = (8, 16, 64)
     worst = 0.0
     rng = np.random.default_rng(seed)
@@ -213,8 +210,10 @@ def check_cp_circularity(seed: int = 5) -> CheckResult:
         fc = FrameConfig(frame_len=frame_len, cp_len=length + 1, snr_db=np.inf)
         sf = generate_symbols(2, frame_len, "qpsk", rng)
         rf = to_frequency_domain(transmit(sf, realization, fc, rng))
-        model = transmit_bins(sf, to_bin_channels(realization), fc, rng)
-        worst = np.maximum(worst, float(np.abs(rf.samples - model.samples).max()))
+        s_fd = np.fft.fft(sf.symbols, axis=1, norm="ortho").T[:, :, np.newaxis]  # (N, K, 1)
+        model = np.fft.fft(_awgn(cfg.num_antennas, frame_len, fc.sigma_w2, rng), axis=1, norm="ortho")
+        model += np.matmul(to_bin_channels(realization).a, s_fd)[..., 0].T
+        worst = np.maximum(worst, float(np.abs(rf.samples - model).max()))
     return _result("cp-circularity", worst, f"max |transmit - per-bin model| = {worst:.3e} at sizes {sizes}")
 
 

@@ -5,9 +5,9 @@
 In one process this prints
 
 - the md5 of each ``simulate`` CSV in ``CSV_CASES``;
-- the sha256 of the TDD path's arrays: MRC-MMSE estimates from a received
-  frame, its inverse cache and both precoder paths, at 128x16x512 and
-  64x14x2048;
+- the sha256 of the TDD path's arrays: MRC-MMSE estimates from the frame
+  ``transmit`` sends, their inverse cache and both precoder paths, at
+  128x16x512 and 64x14x2048;
 - the sha256 of ``transmit``'s time-domain samples through the benchmark's
   130-tap channel and 144-sample prefix, at the same two shapes;
 - the stdout of ``verify`` and ``precode-check`` at seeds 1, 2 and 3,
@@ -39,7 +39,7 @@ import numpy as np
 from fdmud.channel import ChannelConfig, draw_channel, to_bin_channels
 from fdmud.cli import main
 from fdmud.detect import DetectorKind, detect_frame
-from fdmud.frame import FrameConfig, generate_symbols, transmit, transmit_bins
+from fdmud.frame import FrameConfig, generate_symbols, to_frequency_domain, transmit
 from fdmud.precode import precode_frame
 
 _SWEEP = ["--frames-per-point", "2", "--snr-sweep=-10:10:10"]
@@ -77,16 +77,18 @@ def simulate_csv(args, directory) -> bytes:
 
 
 def tdd_lines():
-    """The TDD path from a received frame: MRC-MMSE, its inverse cache and both precoder paths.
+    """The TDD path from a sent frame: MRC-MMSE, its inverse cache and both precoder paths.
 
     MMSE is left out: its raw estimates follow the BLAS thread count.
     """
     for m, k, n in ((128, 16, 512), (64, 14, 2048)):
-        bins = to_bin_channels(draw_channel(ChannelConfig(m, k, n, 16, decay_samples=4.0, seed=1)))
+        realization = draw_channel(ChannelConfig(m, k, n, 16, decay_samples=4.0, seed=1))
+        bins = to_bin_channels(realization)
         fc = FrameConfig(frame_len=n, cp_len=32, snr_db=5.0)
         rng = np.random.default_rng(2)
         sf = generate_symbols(k, n, "qpsk", rng)
-        up = detect_frame(transmit_bins(sf, bins, fc, rng), bins, fc.sigma_w2, DetectorKind.MRC_MMSE)
+        rf = to_frequency_domain(transmit(sf, realization, fc, rng))
+        up = detect_frame(rf, bins, fc.sigma_w2, DetectorKind.MRC_MMSE)
         outputs = {
             "mrc_mmse": up.s_hat_time,
             "cache.inv": up.cache.inv,

@@ -188,6 +188,8 @@ class TestConfigValidation:
             small_config(power_spread=(1.9, 0.1))
         with pytest.raises(ValueError):
             small_config(power_spread=(0.0, 1.9))
+        with pytest.raises(ValueError, match=r"0 < low < high < inf, got \(0\.1, inf\)"):
+            small_config(power_spread=(0.1, float("inf")))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):

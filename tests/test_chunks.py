@@ -21,8 +21,8 @@ from fdmud.frame import (
     SymbolFrame,
     _awgn,
     generate_symbols,
+    to_frequency_domain,
     transmit,
-    transmit_bins,
 )
 from fdmud.harness import ScenarioConfig, run_monte_carlo
 from fdmud.numerics import DegenerateScaleError, SingularMatrixError
@@ -54,13 +54,10 @@ def every_output():
     fc = FrameConfig(frame_len=N_BINS, cp_len=5, snr_db=3.0)
     rng = np.random.default_rng(22)
     sf = generate_symbols(3, N_BINS, "qpsk", rng)
-    rf = transmit_bins(sf, bins, fc, rng)
+    rf = to_frequency_domain(transmit(sf, realization, fc, rng))
     out = {"bins": bins.a, "received": rf.samples, "next_draw": rng.standard_normal(4)}
     noise = _awgn(6, N_BINS, fc.sigma_w2, np.random.default_rng(24))
     out["statistics.gram"], out["statistics.matched"] = tap_statistics(realization.taps, noise)
-    rng = np.random.default_rng(23)
-    out["transmit"] = transmit(sf, realization, fc, rng).samples
-    out["transmit.next_draw"] = rng.standard_normal(4)
     results = {kind: detect_frame(rf, bins, fc.sigma_w2, kind) for kind in DetectorKind}
     out.update({kind.value: result.s_hat_time for kind, result in results.items()})
     cache = results[DetectorKind.MRC_MMSE].cache
@@ -97,8 +94,8 @@ def dead_column_frame(rng, bad_bins, m_ant=4, k_usr=2, n_bins=12):
 
 # Each stage runs on one level of chunks: the K x K stages on chunks sized
 # by their (n, K, K) stacks, and the products that read A (the Gram and
-# matched-filter products, the precoder's A^T A^* and its steering) on
-# chunks sized by A.  At 32 x 14 x 200 the K x K stack has 39,200 entries, A
+# matched-filter products and the precoder's A^T A^*) on chunks sized by A;
+# the precoder steers the whole frame in one product.  At 32 x 14 x 200 the K x K stack has 39,200 entries, A
 # and y 96,000 and A alone 89,600, so a minimum of 100 bins of 14 x 14 makes
 # two chunks of 100 bins for the precoder's inverse, six of 33 or 34 for
 # the K x K detectors, which count three entries per stack entry, and four
@@ -152,11 +149,11 @@ def test_k_by_k_stages_do_not_depend_on_chunks(split, rng, chunk_log, min_chunk)
         assert np.array_equal(value, expected[name]), f"{name} differs"
     if min_chunk == STAGED_MIN:
         # MRC-MMSE and ZF form A^H A and A^H y, then detect; the precoder
-        # forms A^T A^*, inverts it, then steers through A.  Every stage
-        # splits the whole frame, and none splits inside another's chunk.
+        # forms A^T A^* and inverts it, then steers through A unsplit.  Every
+        # split stage splits the whole frame, and none inside another's chunk.
         quarters, halves = (200, [50] * 4), (200, [100, 100])
         detection = [quarters, (200, [33, 33, 34] * 2)]
-        assert chunk_log == detection + [quarters, halves, quarters] + detection
+        assert chunk_log == detection + [quarters, halves] + detection
 
 
 @pytest.mark.parametrize("min_chunk", [None, STAGED_MIN, 1], ids=["default", "staged", "one-bin"])

@@ -38,6 +38,9 @@ class TestParsing:
             parse_sweep("0:10:0")
         with pytest.raises(ValueError):
             parse_sweep("0:10")
+        # a span of -inf points is an empty range, not a count that overflows
+        with pytest.raises(ValueError, match=r"^empty sweep range '1e308:-1e308:1'$"):
+            parse_sweep("1e308:-1e308:1")
 
     @seed(20261018)
     @settings(max_examples=200, deadline=None)
@@ -60,6 +63,28 @@ class TestParsing:
     def test_non_finite_sweep_range_fails_cleanly(self, sweep, field, capsys):
         assert main(["simulate", *FAST_ARGS, f"--snr-sweep={sweep}"]) == 2
         assert f"error: sweep {field} must be finite" in capsys.readouterr().err
+
+    # Finite bounds whose point count overflows: the span, or span / step.
+    @pytest.mark.parametrize("sweep", ["-1e308:1e308:1", "1:2:5e-324"])
+    def test_uncountable_sweep_range_fails_cleanly(self, sweep, capsys):
+        assert main(["simulate", *FAST_ARGS, f"--snr-sweep={sweep}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: sweep range {sweep!r} has too many points to count\n"
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ("0,,10", "sweep item 1 is not a number: ''"),
+            ("", "sweep item 0 is not a number: ''"),
+            ("0,10,x5", "sweep item 2 is not a number: 'x5'"),
+        ],
+    )
+    def test_bad_sweep_list_fails_cleanly(self, sweep, message, capsys):
+        assert main(["simulate", *FAST_ARGS, f"--snr-sweep={sweep}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_detectors(self):
         assert parse_detectors("mrc_mmse,tr_mrc") == (DetectorKind.MRC_MMSE, DetectorKind.TR_MRC)
@@ -272,9 +297,14 @@ class TestComplexity:
         assert captured.err == f"error: {message}\n"
 
     def test_file_output(self, tmp_path, capsys):
+        # The CLI writes every file through one helper; the file holds the
+        # bytes the same command prints to stdout.
+        assert main(["complexity"]) == 0
+        stdout = capsys.readouterr().out
         out = tmp_path / "complexity.csv"
         rc = main(["complexity", "--output", str(out)])
         assert rc == 0
+        assert out.read_bytes() == stdout.encode("utf-8")
         lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 91  # header + 3 x 30 grid
         assert out.read_bytes() == complexity_sweep([32, 64, 128], 30).to_csv().encode("utf-8")

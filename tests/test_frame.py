@@ -23,7 +23,6 @@ from fdmud.frame import (
     generate_symbols,
     to_frequency_domain,
     transmit,
-    transmit_bins,
 )
 
 from conftest import build_circulant, crandn, tap_statistics
@@ -137,6 +136,12 @@ class TestTransmit:
         with pytest.raises(ValueError, match="user count"):
             transmit(sf, ch, FrameConfig(frame_len=16, cp_len=4), rng)
 
+    def test_frame_length_mismatch_rejected(self, rng):
+        ch = identity_realization(3, 2, 16)
+        sf = generate_symbols(2, 8, "qpsk", rng)
+        with pytest.raises(ValueError, match="frame length mismatch: frame has 8, config has 16"):
+            transmit(sf, ch, FrameConfig(frame_len=16, cp_len=4), rng)
+
 
 class TestNextFastLen:
     def test_matches_scipy_for_complex_input(self):
@@ -178,36 +183,27 @@ def cp_scenarios(draw):
     return channel, fc, draw(st.integers(0, 2**32))
 
 
-class TestTransmitBins:
+class TestPerBinModel:
     @seed(20240601)
     @settings(max_examples=60, deadline=None)
     @given(cp_scenarios())
     def test_equals_transmit_then_dft(self, scenario):
-        # same symbols, same noise draws: the two paths differ by rounding,
-        # and leave the generator in the same state
+        # The per-bin model A_n s_n + w_n, with w the unitary DFT of the noise
+        # transmit draws: same symbols, same noise draws, so the two differ by
+        # rounding and leave the generator in the same state.
         channel, fc, rng_seed = scenario
         ch = draw_channel(channel)
         sym_rng = np.random.default_rng(rng_seed)
         sf = generate_symbols(channel.num_users, fc.frame_len, fc.constellation, sym_rng)
         rng_time, rng_bins = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
         oracle = to_frequency_domain(transmit(sf, ch, fc, rng_time))
-        model = transmit_bins(sf, to_bin_channels(ch), fc, rng_bins)
-        assert model.domain == "frequency"
-        scale = max(np.abs(oracle.samples).max(), np.abs(model.samples).max())
-        assert np.abs(model.samples - oracle.samples).max() <= 1e-12 * scale
+        noise = _awgn(channel.num_antennas, fc.frame_len, fc.sigma_w2, rng_bins)
+        s_fd = np.fft.fft(sf.symbols, axis=1, norm="ortho")
+        model = np.fft.fft(noise, axis=1, norm="ortho")
+        model += np.einsum("nmk,kn->mn", to_bin_channels(ch).a, s_fd)
+        scale = max(np.abs(oracle.samples).max(), np.abs(model).max())
+        assert np.abs(model - oracle.samples).max() <= 1e-12 * scale
         assert np.array_equal(rng_time.standard_normal(4), rng_bins.standard_normal(4))
-
-    def test_bin_count_mismatch_rejected(self, rng):
-        ch = identity_realization(3, 2, 16)
-        sf = generate_symbols(2, 8, "qpsk", rng)
-        with pytest.raises(ValueError, match="bin count"):
-            transmit_bins(sf, to_bin_channels(ch), FrameConfig(frame_len=8, cp_len=4), rng)
-
-    def test_user_count_mismatch_rejected(self, rng):
-        ch = identity_realization(3, 2, 16)
-        sf = generate_symbols(1, 16, "qpsk", rng)
-        with pytest.raises(ValueError, match="user count"):
-            transmit_bins(sf, to_bin_channels(ch), FrameConfig(frame_len=16, cp_len=4), rng)
 
 
 class TestAwgn:

@@ -334,8 +334,8 @@ class TestRunMonteCarlo:
 
     def test_statistics_are_those_of_the_reference_frame(self, monkeypatch):
         # A^H A and A^H y = G s + A^H w, formed from the taps and the noise
-        # over two blocks of antennas, against the products over the bins
-        # that transmit_bins builds from the same noise for the M x M kind.
+        # over two blocks of antennas, against the products over the bins of
+        # the frame that transmit sends with the same noise for the M x M kind.
         seen = {}
         original = harness.detect_frame
 
@@ -365,7 +365,7 @@ class TestRunMonteCarlo:
     @pytest.mark.parametrize("reference", [False, True], ids=["k-by-k", "with-mmse"])
     def test_builds_the_bin_channels_only_for_the_reference(self, monkeypatch, reference):
         built, channels = [], []
-        for name in ("to_bin_channels", "_transmit_bins"):
+        for name in ("to_bin_channels", "transmit"):
             original = getattr(harness, name)
 
             def spy(*args, _name=name, _original=original):
@@ -385,7 +385,7 @@ class TestRunMonteCarlo:
             kinds += (DetectorKind.MMSE,)
         report = run_monte_carlo(tiny_scenario(detectors=kinds, frames_per_point=1))
         assert all(row.n_frames == 1 for row in report.rows)
-        assert built == ["to_bin_channels", "_transmit_bins"] * 2 * reference
+        assert built == ["to_bin_channels", "transmit"] * 2 * reference
         assert all(a.shape == (32, 4, 2) for a in channels)
         # Without the reference, detection sees a read-only, zero-stride view.
         shape_only = [a.strides == (0, 0, 0) and not a.flags.writeable for a in channels]
@@ -471,8 +471,8 @@ class TestRunMonteCarlo:
             tiny_scenario(frame=short)
 
     def test_short_cyclic_prefix_rejected_before_drawing(self, monkeypatch):
-        # the sweep builds frames per bin, which only a long enough prefix
-        # justifies; transmit_bins cannot see the channel length itself
+        # the sweep's tap statistics assume the channel circulant, which only
+        # a long enough prefix justifies; transmit would see it only after a draw
         def no_draw(config):
             raise AssertionError("drew a channel for an invalid scenario")
 

@@ -20,7 +20,7 @@ import numpy as np
 from fdmud import harness
 from fdmud.channel import ChannelConfig, draw_channel, to_bin_channels
 from fdmud.detect import DetectorKind, detect_frame
-from fdmud.frame import FrameConfig, generate_symbols, transmit_bins
+from fdmud.frame import FrameConfig, generate_symbols, to_frequency_domain, transmit
 from fdmud.precode import precode_frame
 
 CHANNEL = ChannelConfig(
@@ -37,9 +37,10 @@ def sweep(*kinds):
 
 def precode_both_paths():
     rng = np.random.default_rng(2)
-    bins = to_bin_channels(draw_channel(CHANNEL))
+    realization = draw_channel(CHANNEL)
+    bins = to_bin_channels(realization)
     sent = generate_symbols(2, 16, "qpsk", rng)
-    rf = transmit_bins(sent, bins, FRAME, rng)
+    rf = to_frequency_domain(transmit(sent, realization, FRAME, rng))
     cache = detect_frame(rf, bins, FRAME.sigma_w2, DetectorKind.MRC_MMSE).cache
     precode_frame(sent, bins, FRAME.sigma_w2, cache=cache)
     precode_frame(sent, bins, FRAME.sigma_w2)
@@ -68,6 +69,19 @@ def test_efficient_path_and_precoder_load_no_scipy():
     body = """
 sweep(DetectorKind.MRC_MMSE, DetectorKind.TR_MRC, DetectorKind.LOW_SNR, DetectorKind.HIGH_SNR_ZF)
 precode_both_paths()
+"""
+    assert scipy_loaded_by(body) == []
+
+
+def test_default_simulate_loads_no_scipy(tmp_path):
+    # The CLI's default detectors on a short frame, with numeric warnings as
+    # errors, as pytest runs this suite.
+    body = f"""
+import warnings
+from fdmud.cli import main
+warnings.simplefilter("error", RuntimeWarning)
+args = ["--n", "256", "--l-h", "16", "--l-cp", "32", "--frames-per-point", "1", "--snr-sweep=-10:10:10"]
+assert main(["simulate", *args, "--output", {str(tmp_path / "sinr.csv")!r}]) == 0
 """
     assert scipy_loaded_by(body) == []
 
