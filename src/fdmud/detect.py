@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import BinChannel, _check_power
+from .channel import BinChannel, _check_matched, _check_power
 from .frame import FREQUENCY, ReceivedFrame
 from .numerics import (
     DegenerateScaleError,
@@ -152,7 +152,9 @@ def _check_sigma(sigma_w2: float) -> None:
 
 def _matched(a_h: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``A_n^H y_n`` for every bin, from ``a_h`` (N, K, M) and ``y`` (N, M)."""
-    return np.matmul(a_h, y[:, :, np.newaxis])[..., 0]
+    # Callers name an overflowing bin with ``_check_matched``; NumPy need not warn.
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.matmul(a_h, y[:, :, np.newaxis])[..., 0]
 
 
 def _mmse(a: np.ndarray, y: np.ndarray, sigma_w2: float) -> np.ndarray:
@@ -212,9 +214,9 @@ def _gram(a: np.ndarray, a_h: np.ndarray) -> np.ndarray:
 def _gram_and_matched(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``A_n^H A_n`` (N, K, K) and ``A_n^H y_n`` (N, K) for every bin of ``a`` and ``y``.
 
-    Formed in chunks sized by ``a``, which the products read, each checked
-    by :func:`_gram`; a failing chunk reruns whole, so the error names the
-    frame's bin.
+    Formed in chunks sized by ``a``, which the products read, each Gram
+    checked by :func:`_gram`; a failing chunk reruns whole, so the error
+    names the frame's bin.  ``A^H y`` is checked whole, by ``_Matched``.
     """
     n_bins, _, k_usr = a.shape
     gram = np.empty((n_bins, k_usr, k_usr), dtype=np.complex128)
@@ -240,11 +242,16 @@ class _Matched:
     (``channel._tap_correlations`` and ``channel._lag_gram`` give
     ``A^H A`` and ``A^H w``, and ``A^H y = A^H A s + A^H w``), never
     building ``A``;
-    ``_gram_and_matched`` forms them from ``A`` and ``y``.
+    ``_gram_and_matched`` forms them from ``A`` and ``y``.  An ``A^H y``
+    that is not finite raises ``ValueError`` naming its first bin: from a
+    finite channel and finite samples it can only have overflowed.
     """
 
     gram: np.ndarray
     matched: np.ndarray
+
+    def __post_init__(self):
+        _check_matched(self.matched)
 
 
 def _received(rf: ReceivedFrame, a: np.ndarray) -> np.ndarray:
@@ -311,10 +318,16 @@ def mmse_bin(a_n, y_n, sigma_w2: float) -> np.ndarray:
 
 
 def mrc_bin(a_n, y_n) -> np.ndarray:
-    """Matched-filter / ratio-combined statistic ``(1/M) A^H y`` (length K)."""
+    """Matched-filter / ratio-combined statistic ``(1/M) A^H y`` (length K).
+
+    An ``A^H y`` that overflows raises ``ValueError`` naming bin 0, as
+    :func:`detect_frame` names it.
+    """
     a_n, y_n = _check_bin_args(a_n, y_n, "y_n", 0)
     a_h = a_n[np.newaxis].conj().transpose(0, 2, 1)
-    return _matched(a_h, y_n[np.newaxis])[0] / a_n.shape[0]
+    matched = _matched(a_h, y_n[np.newaxis])
+    _check_matched(matched)
+    return matched[0] / a_n.shape[0]
 
 
 def mrcmmse_bin(a_n, r_n, sigma_w2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -363,7 +376,8 @@ def detect_frame(
     A singular bin raises :class:`~fdmud.numerics.SingularMatrixError`, a
     zero-power channel column :class:`~fdmud.numerics.DegenerateScaleError`
     and a non-finite received sample or channel entry, or a channel whose
-    ``A^H A`` overflows, ``ValueError``, each naming the first offending bin.
+    ``A^H A`` or, for a K x K kind, ``A^H y`` overflows, ``ValueError``,
+    each naming the first offending bin.
     """
     if not isinstance(kind, DetectorKind):
         raise ValueError(f"unknown detector kind: {kind!r}")
@@ -382,7 +396,8 @@ def detect_frame(
     else:
         y = _received(rf, a)
         if kind is not DetectorKind.MMSE:
-            gram, matched = _gram_and_matched(a, y)
+            statistics = _Matched(*_gram_and_matched(a, y))
+            gram, matched = statistics.gram, statistics.matched
         if kind is DetectorKind.MRC_MMSE:
             # The TDD path keeps the inverses, each chunk's in its Gram once
             # read.  A chunk that raises writes nothing, so the rerun that

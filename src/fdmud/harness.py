@@ -31,7 +31,6 @@ import numpy as np
 from .channel import (
     BinChannel,
     ChannelConfig,
-    _check_matched,
     _correlation_outputs,
     _lag_gram,
     _tap_correlations,
@@ -171,6 +170,12 @@ SCENARIO_TABLE = {
 }
 
 
+# Most points a sweep range may give; the default gives 21.  The count is
+# checked before any point is built, so a range too fine to enumerate fails
+# cleanly rather than exhausting memory.
+_MAX_SWEEP_POINTS = 10**5
+
+
 def parse_sweep(text: str) -> tuple[float, ...]:
     """Parse ``start:stop:step`` (inclusive) or a comma-separated dB list."""
     if ":" in text:
@@ -187,6 +192,8 @@ def parse_sweep(text: str) -> tuple[float, ...]:
         if span == np.inf:
             raise ValueError(f"sweep range {text!r} has too many points to count")
         count = int(round(span)) + 1
+        if count > _MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep range {text!r} has {count} points, more than {_MAX_SWEEP_POINTS}")
         points = tuple(start + i * step for i in range(max(count, 0)) if start + i * step <= stop + 1e-9)
         if not points:
             raise ValueError(f"empty sweep range {text!r}")
@@ -383,11 +390,10 @@ def _run_frame(cfg: ScenarioConfig, fc: FrameConfig, p_idx: int, f_idx: int) -> 
     if k_by_k:
         gram = _lag_gram(lags, length, fc.frame_len)
         del lags
-        _check_matched(matched)  # A^H w
-        # The check below reports a non-finite A^H y, so NumPy need not warn.
+        # _Matched reports a non-finite A^H y, so NumPy need not warn; A^H w
+        # not finite makes A^H y not finite.
         with np.errstate(invalid="ignore", over="ignore"):
             matched += np.matmul(gram, s_fd)[..., 0]
-        _check_matched(matched)
         statistics = _Matched(gram, matched)
     sinr = {}
     for kind in cfg.detectors:

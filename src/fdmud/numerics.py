@@ -28,9 +28,10 @@ the stage reads; the ``K x K`` stages that call ``invert_hpd``, whose
 triangular inverse costs a fixed amount per call, size theirs by their
 ``(n, K, K)`` stacks (the detectors at three entries per stack entry, for
 the inverse's temporaries: 21 chunks at 64 x 14 x 2048 and 6 at
-128 x 16 x 512), and the ``M x M`` reference by its ``(n, M, M)``
-covariance stack, 18 chunks at 64 x 14 x 256.  Scalars are double
-precision throughout.
+128 x 16 x 512; the direct precoder, whose chunks also form their Grams
+from ``A``, at one: 7 and 2 chunks), and the ``M x M`` reference by its
+``(n, M, M)`` covariance stack, 18 chunks at 64 x 14 x 256.  Scalars are
+double precision throughout.
 """
 
 from __future__ import annotations

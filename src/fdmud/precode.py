@@ -5,13 +5,13 @@ is the entry-wise complex conjugate of the uplink inverse already computed
 by the MRC-MMSE detector.  Per-user unbiasing scalars mirror the uplink
 convention: the noiseless end-to-end gain of each user is unity, and they
 equal the uplink MRC-MMSE unbiasing coefficients.  So precoding from an
-:class:`~fdmud.detect.InverseCache` costs a conjugation and forms no
-downlink Gram at all.  The direct path forms its Gram stack with the
-uplink's checked ``detect._gram``, as ``A^T A^* = (A^*)^H A^*``, in chunks
-of bins sized by ``A``, then inverts it in chunks sized by the ``(n, K, K)``
-stack, as in ``detect_frame``; its agreement with the cache path is the
-cross-check the test suite runs.  Both paths steer the whole frame in one
-product.
+:class:`~fdmud.detect.InverseCache` forms no downlink Gram and no inverse:
+every path steers the whole frame in one product from the conjugated
+inverses, the layout the cache holds, which it reads as they are.  The
+direct path fills that layout in one level of chunks of bins sized by the
+``(n, K, K)`` stack: each chunk forms its Gram with the uplink's checked
+``detect._gram``, as ``A^T A^* = (A^*)^H A^*``, and inverts it.  Its
+agreement with the cache path is the cross-check the test suite runs.
 
 The precoder algebra is written once, over a whole stack of bins, in
 ``precode_frame``; one bin is the N = 1 frame (a length-1 unitary DFT is the
@@ -86,30 +86,28 @@ def precode_frame(
             raise ValueError(
                 f"cache was built for sigma_w2={cache.sigma_w2}, precoder asked for {sigma_w2}"
             )
-    # The Gram and inverse stages take one level of chunks each, sized by
-    # the arrays they read; steering runs whole.  It reads the downlink
-    # inverses conjugated, as the cache holds them, and conjugating back is
-    # exact.  Without cached scalars the stack first holds the downlink
-    # Gram, each chunk's until it is read.
+    # One level of chunks, sized by the (n, K, K) stack: each chunk forms
+    # its A^T A^*, inverts it (or conjugates the cache's inverses), takes
+    # beta and keeps its inverses conjugated, as the cache holds them.
     inv_conj, beta = (None, None) if cache is None else (cache.inv, cache.unbias)
     if beta is None:
-        inv_conj = np.empty((n_bins, k_usr, k_usr), dtype=np.complex128)
+        if cache is None:
+            inv_conj = np.empty((n_bins, k_usr, k_usr), dtype=np.complex128)
         beta = np.empty((n_bins, k_usr))
         reg = sigma_w2 * np.eye(k_usr)
 
-        def form(lo: int, hi: int) -> None:
-            inv_conj[lo:hi] = _gram(a[lo:hi].conj(), a[lo:hi].transpose(0, 2, 1))  # A^T A^*
-
-        def invert(lo: int, hi: int) -> None:
-            gram_dl = inv_conj[lo:hi]
+        def run(lo: int, hi: int) -> None:
+            gram_dl = _gram(a[lo:hi].conj(), a[lo:hi].transpose(0, 2, 1))  # A^T A^*
             dl_inv = invert_hpd(gram_dl + reg) if cache is None else np.conj(cache.inv[lo:hi])
             beta[lo:hi] = _unbias(diag_of_product(gram_dl, dl_inv).real)
-            np.conj(dl_inv, out=gram_dl)
+            if cache is None:
+                np.conj(dl_inv, out=inv_conj[lo:hi])
 
-        _split(n_bins, form, a.size)
-        _split(n_bins, invert, n_bins * k_usr * k_usr)
+        _split(n_bins, run, n_bins * k_usr * k_usr)
 
-    v = np.matmul(np.conj(inv_conj), (beta * s_fd)[:, :, np.newaxis])
-    # A^* v as conj(A conj(v)): the same products, without a conjugated copy of A.
-    x = np.matmul(a, v.conj()).conj()[..., 0]
+    # x_n = A_n^* dl_inv_n (beta_n o s_n) as conj(A_n inv_n conj(beta_n o s_n)),
+    # inv_n the conjugated inverse: the same products, steering the whole
+    # frame at once, with no conjugated copy of A or of the stack.
+    v = np.matmul(inv_conj, np.conj(beta * s_fd)[:, :, np.newaxis])
+    x = np.matmul(a, v).conj()[..., 0]
     return PrecodeResult(x=x.T, beta_used=beta.T)

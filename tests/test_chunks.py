@@ -94,13 +94,15 @@ def dead_column_frame(rng, bad_bins, m_ant=4, k_usr=2, n_bins=12):
 
 # Each stage runs on one level of chunks: the K x K stages on chunks sized
 # by their (n, K, K) stacks, and the products that read A (the Gram and
-# matched-filter products and the precoder's A^T A^*) on chunks sized by A;
-# the precoder steers the whole frame in one product.  At 32 x 14 x 200 the K x K stack has 39,200 entries, A
-# and y 96,000 and A alone 89,600, so a minimum of 100 bins of 14 x 14 makes
-# two chunks of 100 bins for the precoder's inverse, six of 33 or 34 for
-# the K x K detectors, which count three entries per stack entry, and four
-# chunks of 50 for every stage that reads A.  From 84 bins of 14 x 14 up, NumPy lays out ``inv + inv^H``
-# column-major unless told otherwise, so one-bin chunks are compared as well.
+# matched-filter products) on chunks sized by A; the direct precoder forms
+# each chunk's A^T A^* beside its inverse, in chunks sized by the stack, and
+# steers the whole frame in one product.  At 32 x 14 x 200 the K x K stack
+# has 39,200 entries, A and y 96,000 and A alone 89,600, so a minimum of 100
+# bins of 14 x 14 makes two chunks of 100 bins for the precoder, six of 33
+# or 34 for the K x K detectors, which count three entries per stack entry,
+# and four chunks of 50 for every stage that reads A.  From 84 bins of
+# 14 x 14 up, NumPy lays out ``inv + inv^H`` column-major unless told
+# otherwise, so one-bin chunks are compared as well.
 STAGED = dict(m_ant=32, k_usr=14, n_bins=200)
 STAGED_MIN = 100 * 14 * 14
 
@@ -149,11 +151,12 @@ def test_k_by_k_stages_do_not_depend_on_chunks(split, rng, chunk_log, min_chunk)
         assert np.array_equal(value, expected[name]), f"{name} differs"
     if min_chunk == STAGED_MIN:
         # MRC-MMSE and ZF form A^H A and A^H y, then detect; the precoder
-        # forms A^T A^* and inverts it, then steers through A unsplit.  Every
-        # split stage splits the whole frame, and none inside another's chunk.
+        # forms and inverts A^T A^* chunk by chunk, then steers through A
+        # unsplit.  Every split stage splits the whole frame, and none inside
+        # another's chunk.
         quarters, halves = (200, [50] * 4), (200, [100, 100])
         detection = [quarters, (200, [33, 33, 34] * 2)]
-        assert chunk_log == detection + [quarters, halves] + detection
+        assert chunk_log == detection + [halves] + detection
 
 
 @pytest.mark.parametrize("min_chunk", [None, STAGED_MIN, 1], ids=["default", "staged", "one-bin"])
@@ -204,7 +207,7 @@ def test_statistics_read_only_the_shape_of_the_bin_channels(split, rng, min_chun
 
 
 class TestStagedErrorsNameTheGlobalBin:
-    """Bin 170 sits in the last K x K detector chunk, the precoder inverse's second
+    """Bin 170 sits in the last K x K detector chunk, the precoder's second
     chunk and the fourth chunk sized by A."""
 
     def test_zero_power_column_in_mrc_mmse(self, split, rng):
@@ -228,9 +231,10 @@ class TestStagedErrorsNameTheGlobalBin:
         assert info.value.index == 170
 
 
-# Detection reads 144 entries of a 12-bin frame and the precoder 120, so a
-# minimum of 40 makes three chunks, [0, 4), [4, 8) and [8, 12): bin 10 sits
-# in the last, and bins 5 and 10 in two different chunks, neither the first.
+# Detection reads 144 entries of a 12-bin frame, so a minimum of 40 makes
+# three chunks, [0, 4), [4, 8) and [8, 12): bin 10 sits in the last, and
+# bins 5 and 10 in two different chunks, neither the first.  The precoder's
+# 48-entry stack runs whole; the staged class above splits it.
 @pytest.mark.parametrize("bad_bins, named", [((10,), 10), ((10, 5), 5)])
 class TestErrorsNameTheGlobalBin:
     @pytest.mark.parametrize(

@@ -41,6 +41,12 @@ class TestParsing:
         # a span of -inf points is an empty range, not a count that overflows
         with pytest.raises(ValueError, match=r"^empty sweep range '1e308:-1e308:1'$"):
             parse_sweep("1e308:-1e308:1")
+        # 1,000,001 points, ten times the bound, refused before any is built:
+        # a finer step would ask for more points than memory holds
+        with pytest.raises(
+            ValueError, match=r"^sweep range '0:1:1e-6' has 1000001 points, more than 100000$"
+        ):
+            parse_sweep("0:1:1e-6")
 
     @seed(20261018)
     @settings(max_examples=200, deadline=None)

@@ -478,6 +478,22 @@ class TestDetectFrame:
         with pytest.raises(ValueError, match=r"^bin 5: the channel's A\^H A overflows$"):
             detect_frame(rf, BinChannel(a=a), 0.1, DetectorKind.MMSE)
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_frame_whose_matched_filter_output_overflows(self, rng):
+        # Every bin's samples are 1e307 times user 0's column: finite, but
+        # A^H y reaches 1e307 ||a_0||^2, about 6e308.  The K x K kinds and
+        # mrc_bin name bin 0 as the sweep names it; MMSE forms no A^H y.
+        a = crandn(rng, 8, 64, 4)
+        bins = BinChannel(a=a)
+        rf = ReceivedFrame(samples=1e307 * a[:, :, 0].T, domain="frequency")
+        message = r"^bin 0: the matched-filter output A\^H y overflows$"
+        for kind in K_BY_K:
+            with pytest.raises(ValueError, match=message):
+                detect_frame(rf, bins, 0.1, kind)
+        with pytest.raises(ValueError, match=message):
+            mrc_bin(a[0], rf.samples[:, 0])
+        assert np.isfinite(detect_frame(rf, bins, 0.1, DetectorKind.MMSE).s_hat_time).all()
+
     def test_statistics_checked_against_the_channel(self, rng):
         bins = BinChannel(a=crandn(rng, 8, 4, 2))
         rf = ReceivedFrame(samples=crandn(rng, 4, 8), domain="frequency")

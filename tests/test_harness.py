@@ -1,11 +1,12 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fdmud import detect, harness, numerics
-from fdmud.channel import ChannelConfig
+from fdmud.channel import ChannelConfig, draw_channel, to_bin_channels
 from fdmud.detect import DetectionResult, DetectorKind
 from fdmud.frame import FrameConfig, SymbolFrame
 from fdmud.harness import (
@@ -435,6 +436,56 @@ class TestRunMonteCarlo:
             by_kind.setdefault(row.detector, []).append(row.mean_output_sinr_db)
         for a, b in zip(by_kind[DetectorKind.MMSE], by_kind[DetectorKind.MRC_MMSE]):
             assert a == pytest.approx(b, rel=1e-6)  # >= 6 significant figures
+
+    def test_mrc_mmse_rows_match_the_conditional_sinr_of_their_channels(self):
+        # Given a frame's channel, user k's unbiased MMSE estimate at bin n
+        # errs with variance (1 - d) / d, where d = 1 - sigma^2
+        # [(G + sigma^2 I)^-1]_kk and G = A^H A.  The unitary IDFT keeps
+        # the mean over bins, so the user's conditional SINR is
+        # 1 / mean_n((1 - d) / d); a row averages it over users and frames,
+        # as the sweep averages the measured SINR.  One oracle for the noise
+        # scaling, the statistics, the unbiasing and measure_sinr together.
+        #
+        # The bound, derived: each bin's error is close to complex Gaussian
+        # (the DFT of N symbols, plus noise), so a user's measured error
+        # power, a mean over N bins, has a relative standard deviation of
+        # about 1 / sqrt(N), and a row, a mean over K users and F frames,
+        # about 1 / sqrt(N K F): 10 / ln(10) = 4.34 dB / sqrt(N K F).  The
+        # reciprocal of a mean adds a bias of about 1 / N relative, 4.34 dB
+        # / N.  A row may differ by that bias plus five standard errors,
+        # 0.017 + 0.240 dB here; a correct sweep exceeds five standard
+        # errors about once in two million rows.
+        m_ant, k_usr, n_bins, frames = 16, 4, 256, 8
+        cfg = ScenarioConfig(
+            channel=ChannelConfig(
+                num_antennas=m_ant,
+                num_users=k_usr,
+                frame_len=n_bins,
+                channel_len=16,
+                decay_samples=4.0,
+                seed=11,
+            ),
+            frame=FrameConfig(frame_len=n_bins, cp_len=32),
+            detectors=(DetectorKind.MRC_MMSE,),
+            snr_sweep_db=(-10.0, 0.0, 10.0),
+            frames_per_point=frames,
+        )
+        db = 10.0 / np.log(10.0)
+        bound = db / n_bins + 5.0 * db / np.sqrt(n_bins * k_usr * frames)
+        report = run_monte_carlo(cfg)
+        assert len(report.rows) == len(cfg.snr_sweep_db)
+        for p_idx, row in enumerate(report.rows):
+            assert (row.n_frames, row.n_failures) == (frames, 0)
+            sigma_w2 = replace(cfg.frame, snr_db=row.input_snr_db).sigma_w2
+            sinr = []
+            for f_idx in range(frames):
+                seed = harness._stream_seed(cfg.channel.seed, p_idx, f_idx, 0)
+                a = to_bin_channels(draw_channel(replace(cfg.channel, seed=seed))).a
+                inv = np.linalg.inv(a.conj().transpose(0, 2, 1) @ a + sigma_w2 * np.eye(k_usr))
+                d = 1.0 - sigma_w2 * np.diagonal(inv, axis1=1, axis2=2).real
+                sinr.append(1.0 / np.mean((1.0 - d) / d, axis=0))
+            expected_db = 10.0 * np.log10(np.mean(sinr)) - row.input_snr_db
+            assert abs(row.gain_db - expected_db) <= bound, (row.input_snr_db, row.gain_db, expected_db)
 
     def test_validation(self):
         with pytest.raises(ValueError):
