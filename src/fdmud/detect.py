@@ -178,10 +178,12 @@ def _mmse(a: np.ndarray, y: np.ndarray, sigma_w2: float) -> np.ndarray:
     # einsum, which calls no BLAS, so the pools do not alternate at all.
     # With NumPy forming the covariance stack they alternated twice per
     # chunk: at 128 x 16 x 128 (chunks of 3 or 4 bins) this kernel took
-    # 0.50 s that way and 58 ms now, and 50 against 36 ms at 64 x 14 x 256
-    # (medians of 9, default threads).  A NumPy-only stacked solve
-    # (np.linalg.solve on the covariance stack) drops SciPy but made the
-    # crosscheck benchmark op 13% slower, though its peak RSS was 21% lower.
+    # 0.50 s that way against 58 ms with herk in the loop (medians of 9,
+    # default threads).  Below M = 256 solve_hpd also keeps SciPy's pool to
+    # one thread, so no SciPy worker wakes, or spins on into the NumPy code
+    # that follows.  A NumPy-only stacked solve (np.linalg.solve on the
+    # covariance stack) drops SciPy but made the crosscheck benchmark op 13%
+    # slower, though its peak RSS was 21% lower.
     def run(lo: int, hi: int) -> None:
         a_c = a[lo:hi]
         # Named as the K x K kinds name it: left to the solve, a channel
@@ -348,11 +350,17 @@ def mrcmmse_bin(a_n, r_n, sigma_w2: float) -> tuple[np.ndarray, np.ndarray]:
         The K unbiased symbol estimates and the K x K inverse of
         ``A^H A + sigma_w2 I``, returned for caching.  Only this K x K
         inversion is performed.
+
+    An ``A^H y = M r_n`` that overflows raises ``ValueError`` naming bin 0,
+    as :func:`mrc_bin` names it.
     """
     a_n, r_n = _check_bin_args(a_n, r_n, "r_n", 1)
     a = a_n[np.newaxis]
     gram = _gram(a, a.conj().transpose(0, 2, 1))
-    matched = (a_n.shape[0] * r_n)[np.newaxis]
+    # A finite r_n can still overflow once scaled back to A^H y; the check names it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        matched = (a_n.shape[0] * r_n)[np.newaxis]
+    _check_matched(matched)
     est, inverses, _ = _mrc_mmse(gram, matched, sigma_w2)
     return est[0], inverses[0]
 

@@ -21,6 +21,19 @@ reference took 0.50 s that way and 58 ms with ``herk`` in the loop.  A
 NumPy-only stacked solve, which needs no SciPy, made the crosscheck
 benchmark op 13% slower, though it cut peak RSS by 21%.
 
+Below ``M = 256`` the loop runs on one thread of SciPy's OpenBLAS, set
+with its ``openblas_set_num_threads_local`` and restored when the loop ends
+or raises, so other calls keep the library default.  OpenBLAS threads
+``potrf`` from ``n = 64``, and at these sizes a second thread slowed each
+call and kept spinning into the NumPy code after it; on one thread the
+reference's bytes also no longer depend on the host's core count.  A SciPy
+whose OpenBLAS lacks the setter runs the loop with its default threads.
+The setter is thread-local only in OpenMP builds; in the pthreads build
+that SciPy's wheels ship it sets the count for the whole process.  So a
+pinned loop holds a lock, concurrent calls below ``M = 256`` run one at a
+time, and SciPy calls that other threads make meanwhile also run on one
+thread.
+
 All operations are pure functions on immutable inputs and are safe to call
 concurrently.  ``_split`` runs each frame stage on one level of
 cache-sized contiguous chunks of bins (or of antennas), sized by the arrays
@@ -36,6 +49,10 @@ double precision throughout.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+
 import numpy as np
 
 __all__ = [
@@ -48,6 +65,19 @@ __all__ = [
 
 # Relative element-wise tolerance for accepting a matrix as Hermitian.
 HERMITIAN_TOL = 1e-10
+
+# solve_hpd runs its per-bin loop on one OpenBLAS thread below this many
+# rows M.  On 2 vCPUs (medians of 15 alternating calls in each of two
+# processes), one thread against the default two took 256 bins at M = 64,
+# K = 14 in 24-26 against 31-33 ms and 64 bins at M = 128, K = 30 in 27-28
+# against 30 ms; 16 bins at M = 256, K = 32 were a wash (21-29 against
+# 23-25 ms) and two threads won 4 bins at M = 512 (32-39 against 27-29 ms).
+_ONE_THREAD_BELOW = 256
+
+# Held across each pinned loop: where the setter acts process-wide, two
+# threads pinning and restoring at once would unpin one loop midway and
+# could leave the count at one.
+_PIN_LOCK = threading.Lock()
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -95,6 +125,25 @@ def _check_hermitian(m) -> np.ndarray:
     return m
 
 
+@functools.cache
+def _scipy_thread_setter():
+    """SciPy's OpenBLAS ``openblas_set_num_threads_local``, or ``None`` where it has none.
+
+    It sets the thread count and returns the one it replaces.  The lookup
+    goes through ``scipy.linalg``'s BLAS extension, whose dependencies hold
+    SciPy's OpenBLAS, not NumPy's.
+    """
+    import scipy.linalg
+
+    try:
+        setter = ctypes.CDLL(scipy.linalg._fblas.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
+
+
 def solve_hpd(a, sigma_w2: float, b) -> np.ndarray:
     """``L^-1 b`` for each bin, where ``A A^H + sigma_w2 I = L L^H`` is its Cholesky factorization.
 
@@ -111,11 +160,6 @@ def solve_hpd(a, sigma_w2: float, b) -> np.ndarray:
     non-finite entry, and :class:`SingularMatrixError` naming the first bin
     whose covariance is not positive definite.
     """
-    # Imported here, not at module level: only the M x M MMSE reference solves
-    # this way, and importing scipy.linalg costs about 0.33 s and 28 MB of RSS
-    # that runs without it would pay for nothing.
-    import scipy.linalg
-
     # Complex double throughout: BLAS has no real herk, and single-precision
     # input would select single-precision routines.
     a = np.asarray(a, dtype=np.complex128)
@@ -128,6 +172,24 @@ def solve_hpd(a, sigma_w2: float, b) -> np.ndarray:
         finite = np.isfinite(x).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"bin {np.flatnonzero(~finite)[0]}: {name} must have finite entries")
+    setter = _scipy_thread_setter() if a.shape[1] < _ONE_THREAD_BELOW else None
+    if setter is None:
+        return _solve_bins(a, sigma_w2, b)
+    with _PIN_LOCK:
+        previous = setter(1)
+        try:
+            return _solve_bins(a, sigma_w2, b)
+        finally:
+            setter(previous)
+
+
+def _solve_bins(a: np.ndarray, sigma_w2: float, b: np.ndarray) -> np.ndarray:
+    """:func:`solve_hpd` on checked complex-double stacks, one bin at a time."""
+    # Imported here, not at module level: only the M x M MMSE reference solves
+    # this way, and importing scipy.linalg costs about 0.33 s and 28 MB of RSS
+    # that runs without it would pay for nothing.
+    import scipy.linalg
+
     # herk fills the lower triangle of A A^H, which is all potrf reads, and
     # is Hermitian by construction, so only finiteness needs checking.  BLAS
     # trsm, not LAPACK trtrs: the same bytes, since trtrs only adds a check

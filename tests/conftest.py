@@ -1,8 +1,14 @@
 """Shared helpers: independent oracles used across test modules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fdmud
 from fdmud import harness
 from fdmud.channel import (
     BinChannel,
@@ -13,6 +19,24 @@ from fdmud.channel import (
 )
 from fdmud.detect import _gram_and_matched, _Matched, detect_frame
 from fdmud.frame import ReceivedFrame
+
+
+SRC = Path(fdmud.__file__).resolve().parent.parent
+
+
+def run_fresh(code: str, **env: str) -> str:
+    """The last line that ``code`` prints in a fresh interpreter importing this ``fdmud``.
+
+    ``env`` adds variables to the environment, which a test process cannot
+    apply to itself once NumPy or SciPy is loaded.
+    """
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
 
 
 def crandn(rng, *shape):

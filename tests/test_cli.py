@@ -259,10 +259,13 @@ class TestDeterminism:
 
     def test_manifest_marks_thread_dependent_lines_and_reports_a_failure(self, monkeypatch):
         checks = [verify.CheckResult(name, passed, "detail")
-                  for name, passed in (("pushthrough-identity", True), ("cp-circularity", False))]
+                  for name, passed in (("pushthrough-identity", True), ("detector-equivalence", True),
+                                       ("cp-circularity", False))]
         monkeypatch.setattr(cli, "run_detector_checks", lambda seed: checks)
         lines, rc = check_lines("verify", 4)
-        assert lines == ["~verify 4 PASS  pushthrough-identity: detail", "verify 4 FAIL  cp-circularity: detail"]
+        assert lines == ["~verify 4 PASS  pushthrough-identity: detail",
+                         "verify 4 PASS  detector-equivalence: detail",
+                         "verify 4 FAIL  cp-circularity: detail"]
         assert rc == 1
 
     def test_short_cyclic_prefix_fails_cleanly(self, capsys):

@@ -217,6 +217,13 @@ def test_single_bin_gram_overflow_named(rng, name):
         call(a_n, v)
 
 
+@pytest.mark.filterwarnings("error")
+def test_mrcmmse_bin_matched_filter_overflow_named(rng):
+    # A finite r_n whose A^H y = M r_n is not: named as detect_frame names it.
+    with pytest.raises(ValueError, match=r"^bin 0: the matched-filter output A\^H y overflows$"):
+        mrcmmse_bin(crandn(rng, 64, 4), np.full(4, 1e307), 0.1)
+
+
 class TestLowSnrBin:
     """``LOW_SNR`` (the TR-MRC kernel) on one bin."""
 

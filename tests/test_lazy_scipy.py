@@ -5,14 +5,8 @@ hold SciPy.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-import fdmud
-
-SRC = Path(fdmud.__file__).resolve().parent.parent
+from conftest import run_fresh
 
 PRELUDE = """
 import json, sys
@@ -51,14 +45,7 @@ REPORT = 'print(json.dumps(sorted(name for name in sys.modules if name.split("."
 
 def scipy_loaded_by(body: str) -> list[str]:
     """The ``scipy`` modules a fresh interpreter holds after running ``body``."""
-    code = "\n".join([PRELUDE, body, REPORT])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    return json.loads(run_fresh("\n".join([PRELUDE, body, REPORT])))
 
 
 def test_import_loads_no_scipy():

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -5,11 +8,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fdmud import numerics
-from fdmud.channel import ChannelConfig, ChannelRealization, to_bin_channels
+from fdmud.channel import BinChannel, ChannelConfig, ChannelRealization, to_bin_channels
+from fdmud.detect import DetectorKind, detect_frame
 from fdmud.frame import ReceivedFrame, to_frequency_domain
 from fdmud.numerics import SingularMatrixError, _split, diag_of_product, invert_hpd, solve_hpd
 
-from conftest import crandn, dft_matrix
+from conftest import crandn, dft_matrix, run_fresh
 
 # The package's two DFT conventions, pinned on the functions that apply them:
 # to_frequency_domain (unitary) and to_bin_channels (unnormalized).
@@ -298,6 +302,108 @@ class TestSolveHpdStack:
     def test_negative_or_non_finite_sigma_rejected(self, rng, sigma_w2):
         with pytest.raises(ValueError, match="sigma_w2 must be finite and non-negative"):
             solve_hpd(crandn(rng, 2, 4, 3), sigma_w2, crandn(rng, 2, 4, 1))
+
+
+class RecordingSetter:
+    """Stands in for OpenBLAS's thread-local setter: records each count and returns the one it replaces."""
+
+    def __init__(self, current):
+        self.current = current
+        self.calls = []
+
+    def __call__(self, threads):
+        self.calls.append(threads)
+        previous, self.current = self.current, threads
+        return previous
+
+
+# MMSE estimates of a 64 x 14 x 256 frame from a 16-tap channel, hashed.
+MMSE_DIGEST = """
+import hashlib
+import numpy as np
+from fdmud.channel import ChannelConfig, draw_channel, to_bin_channels
+from fdmud.detect import DetectorKind, detect_frame
+from fdmud.frame import FrameConfig, generate_symbols, to_frequency_domain, transmit
+
+realization = draw_channel(ChannelConfig(64, 14, 256, 16, decay_samples=4.0, seed=1))
+fc = FrameConfig(frame_len=256, cp_len=32, snr_db=5.0)
+rng = np.random.default_rng(2)
+rf = to_frequency_domain(transmit(generate_symbols(14, 256, "qpsk", rng), realization, fc, rng))
+est = detect_frame(rf, to_bin_channels(realization), fc.sigma_w2, DetectorKind.MMSE).s_hat_time
+print(hashlib.sha256(est.tobytes()).hexdigest())
+"""
+
+
+class TestSolveHpdThreads:
+    """Below ``_ONE_THREAD_BELOW`` rows the per-bin loop runs on one OpenBLAS thread."""
+
+    def test_mmse_bytes_do_not_follow_the_blas_thread_count(self):
+        # OpenBLAS reads the variable once, as it loads, so each count needs
+        # its own interpreter.
+        one, two = (run_fresh(MMSE_DIGEST, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+        assert one == two
+
+    def test_loop_runs_on_one_thread_and_restores_the_count(self, rng, monkeypatch):
+        setter = RecordingSetter(3)
+        monkeypatch.setattr(numerics, "_scipy_thread_setter", lambda: setter)
+        solve_hpd(crandn(rng, 3, 8, 2), 0.1, crandn(rng, 3, 8, 1))
+        assert setter.calls == [1, 3]
+
+    def test_count_restored_when_the_loop_raises(self, rng, monkeypatch):
+        setter = RecordingSetter(3)
+        monkeypatch.setattr(numerics, "_scipy_thread_setter", lambda: setter)
+        a = crandn(rng, 3, 5, 7)
+        a[1, 2] = 0.0  # a zero row of A: singular with no regularization
+        with pytest.raises(SingularMatrixError, match="^bin 1: "):
+            solve_hpd(a, 0.0, crandn(rng, 3, 5, 1))
+        assert setter.calls == [1, 3]
+
+    def test_large_covariances_keep_the_default_count(self, rng, monkeypatch):
+        setter = RecordingSetter(3)
+        monkeypatch.setattr(numerics, "_scipy_thread_setter", lambda: setter)
+        m_ant = numerics._ONE_THREAD_BELOW
+        solve_hpd(crandn(rng, 1, m_ant, 1), 0.1, crandn(rng, 1, m_ant, 1))
+        assert setter.calls == []
+
+    def test_concurrent_loops_stay_pinned_and_restore_the_count(self, rng, monkeypatch):
+        # A process-wide setter, as in the pthreads OpenBLAS of SciPy's wheels:
+        # every loop must run at one thread and the count end where it began.
+        setter = RecordingSetter(3)
+        monkeypatch.setattr(numerics, "_scipy_thread_setter", lambda: setter)
+        solve_bins = numerics._solve_bins
+        seen = []
+
+        def observed(*args):
+            seen.append(setter.current)
+            out = solve_bins(*args)
+            seen.append(setter.current)
+            return out
+
+        monkeypatch.setattr(numerics, "_solve_bins", observed)
+        a, b = crandn(rng, 4, 16, 4), crandn(rng, 4, 16, 1)
+        workers = [
+            threading.Thread(target=lambda: [solve_hpd(a, 0.1, b) for _ in range(25)]) for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert seen == [1] * 200
+        assert setter.current == 3
+
+    def test_missing_setter_runs_with_the_default_count(self, rng, monkeypatch):
+        a = crandn(rng, 8, 64, 14)
+        rf = ReceivedFrame(samples=crandn(rng, 64, 8), domain="frequency")
+        pinned = detect_frame(rf, BinChannel(a=a), 0.1, DetectorKind.MMSE).s_hat_time
+        monkeypatch.setattr(numerics, "_scipy_thread_setter", lambda: None)
+        free = detect_frame(rf, BinChannel(a=a), 0.1, DetectorKind.MMSE).s_hat_time
+        assert np.abs(free - pinned).max() <= 1e-12 * np.abs(pinned).max()
 
 
 class TestElementwiseOps:
