@@ -179,11 +179,11 @@ def _mmse(a: np.ndarray, y: np.ndarray, sigma_w2: float) -> np.ndarray:
     # With NumPy forming the covariance stack they alternated twice per
     # chunk: at 128 x 16 x 128 (chunks of 3 or 4 bins) this kernel took
     # 0.50 s that way against 58 ms with herk in the loop (medians of 9,
-    # default threads).  Below M = 256 solve_hpd also keeps SciPy's pool to
-    # one thread, so no SciPy worker wakes, or spins on into the NumPy code
-    # that follows.  A NumPy-only stacked solve (np.linalg.solve on the
-    # covariance stack) drops SciPy but made the crosscheck benchmark op 13%
-    # slower, though its peak RSS was 21% lower.
+    # default threads).  solve_hpd also keeps SciPy's pool to one thread, so
+    # no SciPy worker wakes, or spins on into the NumPy code that follows.  A
+    # NumPy-only stacked solve (np.linalg.solve on the covariance stack)
+    # drops SciPy but made the crosscheck benchmark op 13% slower, though its
+    # peak RSS was 21% lower.
     def run(lo: int, hi: int) -> None:
         a_c = a[lo:hi]
         # Named as the K x K kinds name it: left to the solve, a channel

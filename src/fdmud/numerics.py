@@ -21,18 +21,22 @@ reference took 0.50 s that way and 58 ms with ``herk`` in the loop.  A
 NumPy-only stacked solve, which needs no SciPy, made the crosscheck
 benchmark op 13% slower, though it cut peak RSS by 21%.
 
-Below ``M = 256`` the loop runs on one thread of SciPy's OpenBLAS, set
-with its ``openblas_set_num_threads_local`` and restored when the loop ends
-or raises, so other calls keep the library default.  OpenBLAS threads
-``potrf`` from ``n = 64``, and at these sizes a second thread slowed each
-call and kept spinning into the NumPy code after it; on one thread the
-reference's bytes also no longer depend on the host's core count.  A SciPy
-whose OpenBLAS lacks the setter runs the loop with its default threads.
-The setter is thread-local only in OpenMP builds; in the pthreads build
-that SciPy's wheels ship it sets the count for the whole process.  So a
-pinned loop holds a lock, concurrent calls below ``M = 256`` run one at a
-time, and SciPy calls that other threads make meanwhile also run on one
-thread.
+The loop runs on one thread of SciPy's OpenBLAS, set with its
+``openblas_set_num_threads_local`` and restored when the loop ends or
+raises, so other calls keep the library default.  OpenBLAS threads
+``potrf`` from ``n = 64``, and at the benchmark's sizes a second thread
+slowed each call and kept spinning into the NumPy code after it: on 2 vCPUs (medians of
+15 alternating calls in each of two processes) one thread against the
+default two took 256 bins at ``M = 64``, ``K = 14`` in 24-26 against
+31-33 ms and 64 bins at ``M = 128``, ``K = 30`` in 27-28 against 30 ms.
+Two threads won 4 bins at ``M = 512`` (27-29 against 32-39 ms), a size no
+benchmark runs; the loop stays on one thread there too, so the
+reference's bytes do not depend on the host's core count at any ``M``.  A
+SciPy whose OpenBLAS lacks the setter runs the loop with its default
+threads.  The setter is thread-local only in OpenMP builds; in the pthreads
+build that SciPy's wheels ship it sets the count for the whole process.  So
+a pinned loop holds a lock, concurrent calls run one at a time, and SciPy
+calls that other threads make meanwhile also run on one thread.
 
 All operations are pure functions on immutable inputs and are safe to call
 concurrently.  ``_split`` runs each frame stage on one level of
@@ -65,14 +69,6 @@ __all__ = [
 
 # Relative element-wise tolerance for accepting a matrix as Hermitian.
 HERMITIAN_TOL = 1e-10
-
-# solve_hpd runs its per-bin loop on one OpenBLAS thread below this many
-# rows M.  On 2 vCPUs (medians of 15 alternating calls in each of two
-# processes), one thread against the default two took 256 bins at M = 64,
-# K = 14 in 24-26 against 31-33 ms and 64 bins at M = 128, K = 30 in 27-28
-# against 30 ms; 16 bins at M = 256, K = 32 were a wash (21-29 against
-# 23-25 ms) and two threads won 4 bins at M = 512 (32-39 against 27-29 ms).
-_ONE_THREAD_BELOW = 256
 
 # Held across each pinned loop: where the setter acts process-wide, two
 # threads pinning and restoring at once would unpin one loop midway and
@@ -131,13 +127,21 @@ def _scipy_thread_setter():
 
     It sets the thread count and returns the one it replaces.  The lookup
     goes through ``scipy.linalg``'s BLAS extension, whose dependencies hold
-    SciPy's OpenBLAS, not NumPy's.
+    SciPy's OpenBLAS, not NumPy's.  That OpenBLAS exports its entry points
+    with a ``scipy_`` prefix, except, in SciPy 1.17.1, this one; both names
+    are tried.
     """
     import scipy.linalg
 
     try:
-        setter = ctypes.CDLL(scipy.linalg._fblas.__file__).openblas_set_num_threads_local
-    except (AttributeError, OSError):
+        lib = ctypes.CDLL(scipy.linalg._fblas.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas_set_num_threads_local", "openblas_set_num_threads_local"):
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            break
+    else:
         return None
     setter.argtypes = [ctypes.c_int]
     setter.restype = ctypes.c_int
@@ -172,7 +176,7 @@ def solve_hpd(a, sigma_w2: float, b) -> np.ndarray:
         finite = np.isfinite(x).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"bin {np.flatnonzero(~finite)[0]}: {name} must have finite entries")
-    setter = _scipy_thread_setter() if a.shape[1] < _ONE_THREAD_BELOW else None
+    setter = _scipy_thread_setter()
     if setter is None:
         return _solve_bins(a, sigma_w2, b)
     with _PIN_LOCK:

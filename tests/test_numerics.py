@@ -1,5 +1,6 @@
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -335,19 +336,42 @@ print(hashlib.sha256(est.tobytes()).hexdigest())
 
 
 class TestSolveHpdThreads:
-    """Below ``_ONE_THREAD_BELOW`` rows the per-bin loop runs on one OpenBLAS thread."""
+    """The per-bin loop runs on one OpenBLAS thread."""
 
     def test_mmse_bytes_do_not_follow_the_blas_thread_count(self):
+        # Without the setter the loop runs on the default threads and its
+        # bytes follow them; CI asserts that the pinned SciPy has it.
+        if run_fresh("from fdmud import numerics; print(numerics._scipy_thread_setter() is None)") == "True":
+            pytest.skip("this SciPy's OpenBLAS has no thread-local setter")
         # OpenBLAS reads the variable once, as it loads, so each count needs
         # its own interpreter.
         one, two = (run_fresh(MMSE_DIGEST, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
         assert one == two
 
-    def test_loop_runs_on_one_thread_and_restores_the_count(self, rng, monkeypatch):
+    @pytest.mark.parametrize("m_ant", [8, 256])
+    def test_loop_runs_on_one_thread_and_restores_the_count(self, rng, monkeypatch, m_ant):
         setter = RecordingSetter(3)
         monkeypatch.setattr(numerics, "_scipy_thread_setter", lambda: setter)
-        solve_hpd(crandn(rng, 3, 8, 2), 0.1, crandn(rng, 3, 8, 1))
+        solve_hpd(crandn(rng, 3, m_ant, 2), 0.1, crandn(rng, 3, m_ant, 1))
         assert setter.calls == [1, 3]
+
+    def test_setter_found_under_either_name(self, monkeypatch):
+        # SciPy's OpenBLAS prefixes its entry points with scipy_; a build whose
+        # prefixing covers this setter too must still be found, prefixed first.
+        def named(name):
+            def setter(threads):
+                return threads
+
+            setter.__name__ = name
+            return setter
+
+        bare, prefixed = "openblas_set_num_threads_local", "scipy_openblas_set_num_threads_local"
+        lookup = numerics._scipy_thread_setter.__wrapped__  # uncached
+        for names, found in (([bare], bare), ([bare, prefixed], prefixed), ([], None)):
+            lib = types.SimpleNamespace(**{name: named(name) for name in names})
+            monkeypatch.setattr(numerics.ctypes, "CDLL", lambda path: lib)
+            setter = lookup()
+            assert (setter and setter.__name__) == found
 
     def test_count_restored_when_the_loop_raises(self, rng, monkeypatch):
         setter = RecordingSetter(3)
@@ -357,13 +381,6 @@ class TestSolveHpdThreads:
         with pytest.raises(SingularMatrixError, match="^bin 1: "):
             solve_hpd(a, 0.0, crandn(rng, 3, 5, 1))
         assert setter.calls == [1, 3]
-
-    def test_large_covariances_keep_the_default_count(self, rng, monkeypatch):
-        setter = RecordingSetter(3)
-        monkeypatch.setattr(numerics, "_scipy_thread_setter", lambda: setter)
-        m_ant = numerics._ONE_THREAD_BELOW
-        solve_hpd(crandn(rng, 1, m_ant, 1), 0.1, crandn(rng, 1, m_ant, 1))
-        assert setter.calls == []
 
     def test_concurrent_loops_stay_pinned_and_restore_the_count(self, rng, monkeypatch):
         # A process-wide setter, as in the pthreads OpenBLAS of SciPy's wheels:
