@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -104,6 +105,8 @@ def complexity_sweep(m_list, k_max: int) -> ComplexityReport:
     if not m_list or k_max < 1:
         raise ValueError("m_list must be nonempty and k_max >= 1")
     for idx, m in enumerate(m_list):
+        if not isinstance(m, numbers.Integral):
+            raise ValueError(f"each M in m_list must be an integer, got {m!r} at item {idx}")
         if m < 2:
             raise ValueError(f"each M in m_list must be at least 2 to serve one user, got {m}")
         if m in m_list[:idx]:
@@ -238,6 +241,8 @@ class ScenarioConfig:
         # Before a sweep draws anything: the K x K statistics assume the
         # channel circulant, which only a prefix this long makes it.
         _check_cp(self.channel.channel_len, self.frame.cp_len)
+        if not isinstance(self.frames_per_point, numbers.Integral):
+            raise ValueError(f"frames_per_point must be an integer, got {self.frames_per_point!r}")
         if self.frames_per_point < 1:
             raise ValueError("frames_per_point must be at least 1")
         if len(self.snr_sweep_db) == 0:
@@ -252,6 +257,8 @@ class ScenarioConfig:
         if len(self.detectors) == 0:
             raise ValueError("at least one detector kind is required")
         for idx, kind in enumerate(self.detectors):
+            if not isinstance(kind, DetectorKind):
+                raise ValueError(f"detector {idx} is not a DetectorKind: {kind!r}")
             if kind in self.detectors[:idx]:
                 raise ValueError(f"detector kind {kind.value!r} is repeated")
 

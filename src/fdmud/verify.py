@@ -17,7 +17,7 @@ from .channel import BinChannel, ChannelConfig, draw_channel, to_bin_channels
 from .detect import DetectorKind, detect_frame, mmse_bin, mrc_bin, mrcmmse_bin
 from .frame import FrameConfig, SymbolFrame, _awgn, generate_symbols, to_frequency_domain, transmit
 from .harness import SCENARIO_TABLE, build_scenario
-from .numerics import _split, diag_of_product, invert_hpd
+from .numerics import diag_of_product, invert_hpd, solve_hpd
 from .precode import precode_frame
 
 __all__ = [
@@ -127,10 +127,10 @@ def check_pushthrough_identity(seed: int = 1) -> CheckResult:
     trials = 100
     worst = 0.0
     for _, a, sigma_w2 in _instances(seed, trials, (4, 16, 64)):
-        m, k = a.shape
-        big = a.conj().T @ (invert_hpd(a @ a.conj().T + sigma_w2 * np.eye(m)) @ a)
+        b = solve_hpd(a[None], sigma_w2, a[None])[0]  # L^-1 A, as the MMSE reference forms it
+        big = np.einsum("mi,mj->ij", b.conj(), b)
         gram = a.conj().T @ a
-        small = invert_hpd(gram + sigma_w2 * np.eye(k)) @ gram
+        small = invert_hpd(gram + sigma_w2 * np.eye(a.shape[1])) @ gram
         worst = np.maximum(worst, float(np.abs(big - small).max()))
     return _result("pushthrough-identity", worst, f"max matrix deviation {worst:.3e} over {trials} trials")
 
@@ -140,11 +140,10 @@ def check_unbias_coefficients_match(seed: int = 2) -> CheckResult:
     trials = 100
     worst = 0.0
     for _, a, sigma_w2 in _instances(seed, trials, (4, 16, 64)):
-        m, k = a.shape
-        filt = a.conj().T @ invert_hpd(a @ a.conj().T + sigma_w2 * np.eye(m))
-        coeff_m = 1.0 / diag_of_product(filt, a)
+        b = solve_hpd(a[None], sigma_w2, a[None])[0]
+        coeff_m = 1.0 / diag_of_product(b.conj().T, b)
         gram = a.conj().T @ a
-        coeff_k = 1.0 / diag_of_product(invert_hpd(gram + sigma_w2 * np.eye(k)), gram)
+        coeff_k = 1.0 / diag_of_product(invert_hpd(gram + sigma_w2 * np.eye(a.shape[1])), gram)
         worst = np.maximum(worst, float(np.abs(coeff_m - coeff_k).max()))
     return _result(
         "unbias-coefficients-match", worst, f"max coefficient deviation {worst:.3e} over {trials} trials"
@@ -233,15 +232,8 @@ def check_cache_conjugate_reuse(seed: int = 7) -> CheckResult:
     """Conjugated uplink inverses equal independently computed downlink ones."""
     scenario = build_scenario({key: row[0] for key, row in SCENARIO_TABLE.items()} | {"seed": seed})
     bins, cache, _ = _uplink_cache(scenario.channel, scenario.frame)
-    n_bins, _, k_usr = bins.a.shape
-    eye = scenario.frame.sigma_w2 * np.eye(k_usr)
-    direct = np.empty((n_bins, k_usr, k_usr), dtype=np.complex128)
-
-    def run(lo: int, hi: int) -> None:
-        a = bins.a[lo:hi]
-        direct[lo:hi] = invert_hpd(np.swapaxes(a, 1, 2) @ a.conj() + eye)
-
-    _split(n_bins, run, direct.size)
+    a = bins.a
+    direct = invert_hpd(np.swapaxes(a, 1, 2) @ a.conj() + scenario.frame.sigma_w2 * np.eye(a.shape[2]))
     worst = float(np.abs(np.conj(cache.inv) - direct).max())
     return _result(
         "cache-conjugate-reuse",

@@ -16,11 +16,8 @@ and exits 1 if any check prints ``FAIL``.  Run it against a change's
 parent and against the change and diff the two outputs: every line must
 match.
 
-Lines that start with ``~`` follow the BLAS thread count at rounding level
-(OpenBLAS splits a routine differently at each thread count; with one to
-four threads no other line moved), so they match only between runs with the
-same threads.  Every other line must also
-match between an unpinned run and one under ``taskset -c 0``.  The CSVs
+No line follows the BLAS thread count: the whole output must also match
+between an unpinned run and one under ``taskset -c 0``.  The CSVs
 print dB to six decimals and depend only on the NumPy and SciPy releases,
 so tier-1 pins their digests below; the raw-array digests and ``verify``'s
 error figures can differ between CPUs and BLAS builds and are compared
@@ -61,11 +58,6 @@ CSV_CASES = (
               "--detectors", "mmse,mrc_mmse,high_snr_zf"],
      "d5a32ce520dda6eb028d53382e4a2c7e"),
 )
-
-# verify checks whose detail line follows the BLAS thread count.  The
-# M x M reference solves on one thread, so detector-equivalence does not.
-THREAD_DEPENDENT = ("pushthrough-identity", "unbias-coefficients-match")
-
 
 def simulate_csv(args, directory) -> bytes:
     """The CSV that ``fdmud simulate`` writes for ``args``; its table is discarded."""
@@ -113,11 +105,7 @@ def check_lines(command: str, seed: int):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = main([command, "--seed", str(seed)])
-    lines = []
-    for line in buf.getvalue().splitlines():
-        mark = "~" if line.split()[1].rstrip(":") in THREAD_DEPENDENT else ""
-        lines.append(f"{mark}{command} {seed} {line}")
-    return lines, rc
+    return [f"{command} {seed} {line}" for line in buf.getvalue().splitlines()], rc
 
 
 def manifest() -> int:

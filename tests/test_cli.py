@@ -257,13 +257,13 @@ class TestDeterminism:
         assert name == "five-kind"
         assert hashlib.md5(simulate_csv(args, tmp_path)).hexdigest() == md5
 
-    def test_manifest_marks_thread_dependent_lines_and_reports_a_failure(self, monkeypatch):
+    def test_manifest_prefixes_check_lines_and_reports_a_failure(self, monkeypatch):
         checks = [verify.CheckResult(name, passed, "detail")
                   for name, passed in (("pushthrough-identity", True), ("detector-equivalence", True),
                                        ("cp-circularity", False))]
         monkeypatch.setattr(cli, "run_detector_checks", lambda seed: checks)
         lines, rc = check_lines("verify", 4)
-        assert lines == ["~verify 4 PASS  pushthrough-identity: detail",
+        assert lines == ["verify 4 PASS  pushthrough-identity: detail",
                          "verify 4 PASS  detector-equivalence: detail",
                          "verify 4 FAIL  cp-circularity: detail"]
         assert rc == 1

@@ -102,6 +102,8 @@ class TestComplexitySweep:
         for m_list, bad in (([1], 1), ([0, -5, 3], 0), ([4, -5], -5)):
             with pytest.raises(ValueError, match=rf"at least 2 to serve one user, got {bad}$"):
                 complexity_sweep(m_list, 3)
+        with pytest.raises(ValueError, match=r"^each M in m_list must be an integer, got 4\.5 at item 1$"):
+            complexity_sweep([4, 4.5], 3)
         with pytest.raises(ValueError, match=r"^M=4 is repeated in m_list, at item 2$"):
             complexity_sweep([4, 8, 4], 3)
 
@@ -487,13 +489,18 @@ class TestRunMonteCarlo:
             expected_db = 10.0 * np.log10(np.mean(sinr)) - row.input_snr_db
             assert abs(row.gain_db - expected_db) <= bound, (row.input_snr_db, row.gain_db, expected_db)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tiny_scenario(frames_per_point=0)
-        with pytest.raises(ValueError):
-            tiny_scenario(snr_sweep_db=())
-        with pytest.raises(ValueError):
-            tiny_scenario(detectors=())
+    # Each rejected where the scenario is built, before a frame is drawn.
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(frames_per_point=0), r"^frames_per_point must be at least 1$"),
+        (dict(frames_per_point=2.5), r"^frames_per_point must be an integer, got 2\.5$"),
+        (dict(snr_sweep_db=()), r"^snr_sweep_db must be nonempty$"),
+        (dict(detectors=()), r"^at least one detector kind is required$"),
+        (dict(detectors=(DetectorKind.TR_MRC, "mrc_mmse")),
+         r"^detector 1 is not a DetectorKind: 'mrc_mmse'$"),
+    ])
+    def test_validation(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_scenario(**overrides)
 
     def test_repeated_detector_kind_rejected(self):
         kinds = (DetectorKind.MRC_MMSE, DetectorKind.TR_MRC, DetectorKind.MRC_MMSE)

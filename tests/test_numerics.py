@@ -318,20 +318,23 @@ class RecordingSetter:
         return previous
 
 
-# MMSE estimates of a 64 x 14 x 256 frame from a 16-tap channel, hashed.
+# MMSE estimates of a 64 x 14 x 256 frame from a 16-tap channel, hashed, and
+# the detail lines of verify's two M x M identity checks, on one line.
 MMSE_DIGEST = """
 import hashlib
 import numpy as np
 from fdmud.channel import ChannelConfig, draw_channel, to_bin_channels
 from fdmud.detect import DetectorKind, detect_frame
 from fdmud.frame import FrameConfig, generate_symbols, to_frequency_domain, transmit
+from fdmud.verify import check_pushthrough_identity, check_unbias_coefficients_match
 
 realization = draw_channel(ChannelConfig(64, 14, 256, 16, decay_samples=4.0, seed=1))
 fc = FrameConfig(frame_len=256, cp_len=32, snr_db=5.0)
 rng = np.random.default_rng(2)
 rf = to_frequency_domain(transmit(generate_symbols(14, 256, "qpsk", rng), realization, fc, rng))
 est = detect_frame(rf, to_bin_channels(realization), fc.sigma_w2, DetectorKind.MMSE).s_hat_time
-print(hashlib.sha256(est.tobytes()).hexdigest())
+print(hashlib.sha256(est.tobytes()).hexdigest(), check_pushthrough_identity(2).detail,
+      check_unbias_coefficients_match(3).detail, sep=" | ")
 """
 
 
