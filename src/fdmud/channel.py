@@ -30,6 +30,7 @@ layout serves the channel and its adjoint.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,12 @@ __all__ = [
     "draw_channel",
     "to_bin_channels",
 ]
+
+
+def _check_integer(name: str, value) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an integer."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,8 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_antennas", "num_users", "frame_len", "channel_len", "seed"):
+            _check_integer(name, getattr(self, name))
         if not 1 <= self.num_users < self.num_antennas:
             raise ValueError(
                 f"need 1 <= num_users < num_antennas, got K={self.num_users}, M={self.num_antennas}"

@@ -7,10 +7,9 @@ The detectors share the per-bin signal model ``y_n = A_n s_n + w_n``:
   ratio-combined statistics ``A^H y``, needing only a K x K inverse.
   Algebraically identical to ``MMSE``; the equality is enforced by the test
   suite, not assumed at runtime, so the two stay separate code.
-* ``TR_MRC`` and ``LOW_SNR``: the diagonally-unbiased matched filter
+* ``TR_MRC``: the diagonally-unbiased matched filter
   ``A^H y / diag(A^H A)``, independent of the noise variance.  It is the
-  time-reversal MRC baseline and also the noise-dominated limit of unbiased
-  MMSE, so both kinds run the same code.
+  time-reversal MRC baseline and also the low-SNR limit of unbiased MMSE.
 * ``HIGH_SNR_ZF``: the zero-forcing limit.
 
 Each estimator is one private kernel over a stack of bins.  ``detect_frame``
@@ -83,7 +82,6 @@ class DetectorKind(enum.Enum):
     MMSE = "mmse"
     MRC_MMSE = "mrc_mmse"
     TR_MRC = "tr_mrc"
-    LOW_SNR = "low_snr"
     HIGH_SNR_ZF = "high_snr_zf"
 
 
@@ -375,7 +373,7 @@ def detect_frame(
     caller running several of them on one frame forms once; statistics
     formed by ``_gram_and_matched`` give the same bytes, they are never
     written, and only the shape of ``bc.a`` is read.  Bins are processed
-    independently; ``TR_MRC`` and ``LOW_SNR`` are the same estimator.
+    independently.
     For ``DetectorKind.MRC_MMSE`` from the received frame, the per-bin
     K x K inverses and unbiasing coefficients are collected into an
     :class:`InverseCache` on the result, for the downlink precoder.  From
@@ -426,8 +424,7 @@ def detect_frame(
             elif kind is DetectorKind.HIGH_SNR_ZF:
                 est[lo:hi] = _zf(g, z)
             else:
-                # TR-MRC, ``(1/M) A^H y`` scaled per user by ``M / diag(A^H A)``,
-                # which is also the noise-dominated limit of unbiased MMSE.
+                # TR-MRC, ``(1/M) A^H y`` scaled per user by ``M / diag(A^H A)``.
                 est[lo:hi] = _unbias(np.diagonal(g, axis1=1, axis2=2).real) * z
 
         # Sized at three entries per stack entry, a third of a chunk sized

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _BLOCK_ANTENNAS, ChannelRealization, _overlap_save
+from .channel import _BLOCK_ANTENNAS, ChannelRealization, _check_integer, _overlap_save
 
 __all__ = [
     "FrameConfig",
@@ -87,6 +87,8 @@ class FrameConfig:
     snr_db: float = 0.0
 
     def __post_init__(self):
+        _check_integer("frame_len", self.frame_len)
+        _check_integer("cp_len", self.cp_len)
         if not self.sigma_w2 < np.inf:
             raise ValueError(f"snr_db={self.snr_db} gives no finite noise variance")
         if self.frame_len <= 0:

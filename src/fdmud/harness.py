@@ -32,6 +32,7 @@ import numpy as np
 from .channel import (
     BinChannel,
     ChannelConfig,
+    _check_integer,
     _correlation_outputs,
     _lag_gram,
     _tap_correlations,
@@ -102,6 +103,7 @@ def complexity_sweep(m_list, k_max: int) -> ComplexityReport:
     repeat.
     """
     m_list = list(m_list)
+    _check_integer("k_max", k_max)
     if not m_list or k_max < 1:
         raise ValueError("m_list must be nonempty and k_max >= 1")
     for idx, m in enumerate(m_list):
@@ -166,7 +168,8 @@ SCENARIO_TABLE = {
     "detectors": (
         "mrc_mmse,tr_mrc",
         str,
-        "comma list: mmse, mrc_mmse, tr_mrc, low_snr, high_snr_zf",
+        "comma list: " + ", ".join(kind.value for kind in DetectorKind)
+        + " (tr_mrc is also the low-SNR limit of unbiased MMSE)",
     ),
     "seed": (1, int, "master RNG seed (default 1)"),
     "output": ("sinr.csv", str, "CSV output path"),
@@ -241,8 +244,7 @@ class ScenarioConfig:
         # Before a sweep draws anything: the K x K statistics assume the
         # channel circulant, which only a prefix this long makes it.
         _check_cp(self.channel.channel_len, self.frame.cp_len)
-        if not isinstance(self.frames_per_point, numbers.Integral):
-            raise ValueError(f"frames_per_point must be an integer, got {self.frames_per_point!r}")
+        _check_integer("frames_per_point", self.frames_per_point)
         if self.frames_per_point < 1:
             raise ValueError("frames_per_point must be at least 1")
         if len(self.snr_sweep_db) == 0:

@@ -195,6 +195,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(seed=-1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("num_antennas", 8.0), ("num_users", 2.0), ("frame_len", 32.5), ("channel_len", 5.0),
+         ("seed", 2.0)],
+    )
+    def test_non_integer_count_rejected(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+            small_config(**{name: value})
+
 
 class TestToBinChannels:
     def test_identity_channel_all_ones(self):

@@ -170,7 +170,6 @@ def test_statistics_give_the_bytes_of_the_received_frame(split, rng, min_chunk):
     for kind in (
         DetectorKind.MRC_MMSE,
         DetectorKind.TR_MRC,
-        DetectorKind.LOW_SNR,
         DetectorKind.HIGH_SNR_ZF,
     ):
         expected = detect_frame(rf, bins, 0.1, kind)
@@ -199,7 +198,6 @@ def test_statistics_read_only_the_shape_of_the_bin_channels(split, rng, min_chun
     for kind in (
         DetectorKind.MRC_MMSE,
         DetectorKind.TR_MRC,
-        DetectorKind.LOW_SNR,
         DetectorKind.HIGH_SNR_ZF,
     ):
         expected = detect_frame(matched, bins, 0.1, kind).s_hat_time
@@ -239,7 +237,7 @@ class TestStagedErrorsNameTheGlobalBin:
 class TestErrorsNameTheGlobalBin:
     @pytest.mark.parametrize(
         "kind",
-        [DetectorKind.MMSE, DetectorKind.MRC_MMSE, DetectorKind.TR_MRC, DetectorKind.LOW_SNR],
+        [DetectorKind.MMSE, DetectorKind.MRC_MMSE, DetectorKind.TR_MRC],
     )
     def test_zero_power_column(self, split, rng, bad_bins, named, kind):
         split(40)

@@ -26,6 +26,12 @@ FAST_ARGS = [
 ]
 
 
+def readme_config_block() -> str:
+    """README's ``scenario.cfg`` block, without its fences."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 class TestParsing:
     def test_sweep_range(self):
         assert parse_sweep("-30:10:2") == tuple(float(v) for v in range(-30, 12, 2))
@@ -152,12 +158,21 @@ class TestParsing:
             parse_config_file(str(cfg))
 
     def test_readme_config_block_shows_every_default(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        block = readme_config_block()
         assert block.startswith("# scenario.cfg -- defaults shown\n")
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(block)
         assert parse_config_file(str(cfg)) == {key: row[0] for key, row in SCENARIO_TABLE.items()}
+
+    def test_readme_config_block_names_the_known_detectors(self):
+        # The detectors line and its comment name exactly the known kinds, so
+        # a kind README still shows after it is gone fails here.
+        block = readme_config_block()
+        (line,) = [line for line in block.splitlines() if line.startswith("detectors=")]
+        value, _, comment = line.partition("#")
+        _, _, also = comment.partition("also:")
+        named = parse_detectors(value.partition("=")[2].strip() + "," + also.strip())
+        assert set(named) == set(DetectorKind)
 
 
 class TestSimulate:
@@ -251,10 +266,10 @@ class TestDeterminism:
         assert b"# rng_layout=2\n" in data
         assert hashlib.md5(data).hexdigest() == md5
 
-    def test_five_kind_csv_bytes_pinned_on_one_bin_chunks(self, tmp_path, monkeypatch):
+    def test_all_kinds_csv_bytes_pinned_on_one_bin_chunks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(numerics, "_MIN_CHUNK", 1)
         name, args, md5 = CSV_CASES[0]
-        assert name == "five-kind"
+        assert name == "all-kinds"
         assert hashlib.md5(simulate_csv(args, tmp_path)).hexdigest() == md5
 
     def test_manifest_prefixes_check_lines_and_reports_a_failure(self, monkeypatch):

@@ -50,13 +50,12 @@ def per_bin_oracle(kind, a, y, sigma_w2):
         # the M x M receive-side solve, unbiased by the diagonal of W^H A
         w = np.linalg.solve(a @ a.conj().T + sigma_w2 * np.eye(a.shape[0]), a)
         return (w.conj().T @ y) / np.diag(w.conj().T @ a).real
-    return matched / np.diag(gram).real  # TR-MRC and low-SNR: diagonally unbiased
+    return matched / np.diag(gram).real  # TR-MRC: diagonally unbiased
 
 
 K_BY_K = [
     DetectorKind.MRC_MMSE,
     DetectorKind.TR_MRC,
-    DetectorKind.LOW_SNR,
     DetectorKind.HIGH_SNR_ZF,
 ]
 
@@ -163,7 +162,7 @@ class TestMrcMmseBin:
         a = crandn(rng, 6, 3)
         y = crandn(rng, 6)
         est, _ = mrcmmse_bin(a, mrc_bin(a, y), 1e6)
-        ref = detect_bin(a, y, DetectorKind.LOW_SNR)
+        ref = detect_bin(a, y, DetectorKind.TR_MRC)
         assert np.abs(est - ref).max() <= 1e-4 * np.abs(ref).max()
 
     def test_returns_kxk_inverse(self, rng):
@@ -224,22 +223,22 @@ def test_mrcmmse_bin_matched_filter_overflow_named(rng):
         mrcmmse_bin(crandn(rng, 64, 4), np.full(4, 1e307), 0.1)
 
 
-class TestLowSnrBin:
-    """``LOW_SNR`` (the TR-MRC kernel) on one bin."""
+class TestTrMrcBin:
+    """``TR_MRC`` on one bin."""
 
     def test_orthogonal_columns_exact(self):
         a = np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]], dtype=complex)
         s = np.array([1.0 + 1j, 2.0 - 1j])
-        assert np.abs(detect_bin(a, a @ s, DetectorKind.LOW_SNR) - s).max() <= 1e-14
+        assert np.abs(detect_bin(a, a @ s, DetectorKind.TR_MRC) - s).max() <= 1e-14
 
     def test_scalar(self):
-        est = detect_bin(np.array([[2.0]]), np.array([4.0]), DetectorKind.LOW_SNR)
+        est = detect_bin(np.array([[2.0]]), np.array([4.0]), DetectorKind.TR_MRC)
         assert est[0] == pytest.approx(2.0)
 
     def test_zero_column_rejected(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DegenerateScaleError):
-            detect_bin(a, np.array([1.0, 1.0]), DetectorKind.LOW_SNR)
+            detect_bin(a, np.array([1.0, 1.0]), DetectorKind.TR_MRC)
 
 
 class TestHighSnrBin:
@@ -307,7 +306,6 @@ class TestDetectFrame:
         [
             DetectorKind.MRC_MMSE,
             DetectorKind.TR_MRC,
-            DetectorKind.LOW_SNR,
             DetectorKind.HIGH_SNR_ZF,
         ],
     )
@@ -337,13 +335,6 @@ class TestDetectFrame:
         )
         expected = np.fft.ifft(est, axis=1, norm="ortho")
         assert np.abs(result.s_hat_time - expected).max() <= 1e-12
-
-    def test_tr_mrc_equals_unbiased_mrc(self):
-        _, bins, fc, _, rf = small_scenario(seed=5)
-        tr = detect_frame(rf, bins, fc.sigma_w2, DetectorKind.TR_MRC)
-        low = detect_frame(rf, bins, fc.sigma_w2, DetectorKind.LOW_SNR)
-        # one kernel serves both kinds
-        assert np.array_equal(tr.s_hat_time, low.s_hat_time)
 
     def test_mrcmmse_populates_cache(self):
         _, bins, fc, _, rf = small_scenario(seed=9)
@@ -398,7 +389,7 @@ class TestDetectFrame:
 
     @pytest.mark.parametrize(
         "kind",
-        [DetectorKind.MMSE, DetectorKind.MRC_MMSE, DetectorKind.TR_MRC, DetectorKind.LOW_SNR],
+        [DetectorKind.MMSE, DetectorKind.MRC_MMSE, DetectorKind.TR_MRC],
     )
     def test_zero_power_column_error_names_the_bin(self, rng, kind):
         from fdmud.channel import BinChannel

@@ -388,6 +388,10 @@ class TestFrameConfig:
             FrameConfig(frame_len=0, cp_len=0)
         with pytest.raises(ValueError):
             FrameConfig(frame_len=8, cp_len=9)
+        with pytest.raises(ValueError, match=r"^frame_len must be an integer, got 16\.5$"):
+            FrameConfig(frame_len=16.5, cp_len=4)
+        with pytest.raises(ValueError, match=r"^cp_len must be an integer, got 4\.0$"):
+            FrameConfig(frame_len=16, cp_len=4.0)
 
     def test_bad_constellation(self):
         with pytest.raises(ValueError):

@@ -54,7 +54,7 @@ def test_import_loads_no_scipy():
 
 def test_efficient_path_and_precoder_load_no_scipy():
     body = """
-sweep(DetectorKind.MRC_MMSE, DetectorKind.TR_MRC, DetectorKind.LOW_SNR, DetectorKind.HIGH_SNR_ZF)
+sweep(DetectorKind.MRC_MMSE, DetectorKind.TR_MRC, DetectorKind.HIGH_SNR_ZF)
 precode_both_paths()
 """
     assert scipy_loaded_by(body) == []
