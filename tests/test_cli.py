@@ -105,6 +105,24 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown detector"):
             parse_detectors("sphere")
 
+    def test_low_snr_is_not_a_detector_name(self):
+        # tr_mrc is the one name for the low-SNR limit of unbiased MMSE
+        with pytest.raises(
+            ValueError,
+            match=r"^unknown detector 'low_snr'; known: mmse, mrc_mmse, tr_mrc, high_snr_zf$",
+        ):
+            parse_detectors("tr_mrc,low_snr")
+
+    def test_every_known_kind_parses_in_order(self):
+        names = ",".join(kind.value for kind in DetectorKind)
+        assert parse_detectors(names) == tuple(DetectorKind)
+
+    def test_detectors_help_lists_the_known_kinds(self):
+        help_text = SCENARIO_TABLE["detectors"][2]
+        assert help_text.startswith("comma list: ")
+        listed = help_text.removeprefix("comma list: ").partition(" (")[0]
+        assert parse_detectors(listed) == tuple(DetectorKind)
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("# comment\nm=8\nk=3\nsnr_sweep=-10:0:5  # inline comment\n")
@@ -248,6 +266,22 @@ class TestSimulate:
         rc = main(["simulate", *FAST_ARGS, "--detectors", "mrc_mmse,mrc_mmse", "--output", str(out)])
         assert rc == 2
         assert "error: detector kind 'mrc_mmse' is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_low_snr_flag_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "sinr.csv"
+        rc = main(["simulate", *FAST_ARGS, "--detectors", "low_snr", "--output", str(out)])
+        assert rc == 2
+        assert "error: unknown detector 'low_snr'; known: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_low_snr_config_line_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        out = tmp_path / "sinr.csv"
+        cfg.write_text(f"output={out}\ndetectors=mrc_mmse,low_snr\n")
+        rc = main(["simulate", "--config", str(cfg), *FAST_ARGS])
+        assert rc == 2
+        assert "unknown detector 'low_snr'; known: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_nan_sweep_point_fails_cleanly(self, capsys):

@@ -267,7 +267,8 @@ class TestHighSnrBin:
 
 class TestDetectFrame:
     @pytest.mark.parametrize(
-        "kind", [DetectorKind.MMSE, DetectorKind.MRC_MMSE, DetectorKind.HIGH_SNR_ZF]
+        "kind",
+        [DetectorKind.MMSE, DetectorKind.MRC_MMSE, DetectorKind.TR_MRC, DetectorKind.HIGH_SNR_ZF],
     )
     def test_identity_channel_noise_free(self, kind):
         from test_frame import identity_realization
@@ -321,6 +322,24 @@ class TestDetectFrame:
             est[:, idx] = per_bin_oracle(kind, bins.a[idx], rf.samples[:, idx], sigma_w2)
         expected = np.fft.ifft(est, axis=1, norm="ortho")
         assert np.abs(result.s_hat_time - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", [DetectorKind.MMSE, DetectorKind.MRC_MMSE])
+    def test_unbiased_mmse_tends_to_tr_mrc_at_low_snr(self, kind):
+        # A^H y / diag(A^H A) is the low-SNR limit of unbiased MMSE: at a
+        # noise variance far above the Gram's entries the two agree to
+        # about ||A^H A|| / sigma_w2.
+        _, bins, _, _, rf = small_scenario(seed=41)
+        tr = detect_frame(rf, bins, 1e6, DetectorKind.TR_MRC).s_hat_time
+        mmse = detect_frame(rf, bins, 1e6, kind).s_hat_time
+        assert np.abs(mmse - tr).max() <= 1e-4 * np.abs(tr).max()
+
+    @pytest.mark.parametrize("kind", [DetectorKind.TR_MRC, DetectorKind.HIGH_SNR_ZF])
+    def test_unregularized_kinds_ignore_the_noise_variance(self, kind):
+        _, bins, fc, _, rf = small_scenario(seed=43)
+        low = detect_frame(rf, bins, fc.sigma_w2, kind)
+        high = detect_frame(rf, bins, 1e3 * fc.sigma_w2, kind)
+        assert np.array_equal(low.s_hat_time, high.s_hat_time)
+        assert low.cache is None and high.cache is None
 
     def test_mmse_matches_per_bin_solve_at_128_antennas(self):
         # 128 x 16 x 128: the M x M reference runs in several chunks of bins
