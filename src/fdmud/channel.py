@@ -47,8 +47,8 @@ __all__ = [
 
 
 def _check_integer(name: str, value) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is an integer."""
-    if not isinstance(value, numbers.Integral):
+    """``ValueError`` naming ``name`` unless ``value`` is an integer, not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

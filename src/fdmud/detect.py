@@ -28,10 +28,9 @@ which only the Monte-Carlo sweep passes, it returns no cache.
 Every K x K kind reads only ``A^H A``, ``A^H y`` and the noise variance.
 Given the received frame, ``detect_frame`` forms both for the whole frame
 in chunks of bins sized by ``A``, then runs the kind on chunks sized by the
-(n, K, K) stack, since ``invert_hpd`` costs a fixed amount per call, at
-three entries per stack entry, which bounds the inverse's temporaries: 21
-chunks of about 98 bins at 64 x 14 x 2048, and 6 inverse calls at
-128 x 16 x 512 where chunks sized by ``A`` would make 19.  A caller running
+(n, K, K) stack, which hold more bins and so make fewer ``invert_hpd``
+calls, each of which costs a fixed amount; it counts three entries per
+stack entry, which bounds the inverse's temporaries.  A caller running
 several K x K kinds on one frame forms the statistics once, as a
 ``_Matched``, and passes them in place of the received frame; they are
 read, never written.  The Monte-Carlo sweep forms them from the channel
@@ -39,8 +38,8 @@ taps and its noise draw, in one pass over blocks of antennas
 (``channel._tap_correlations``) and one FFT of the lags
 (``channel._lag_gram``), without building ``A`` at all, and passes a
 shape-only ``BinChannel`` whose ``a`` the statistics path never reads.  The
-M x M MMSE kernel runs on chunks sized by its (n, M, M) covariance stack:
-18 chunks of 14 or 15 bins at 64 x 14 x 256.  Every kernel that reads
+M x M MMSE kernel runs on chunks sized by its (n, M, M) covariance stack.
+README "Chunks" gives each stage's chunk count.  Every kernel that reads
 ``A``, and the direct precoder, rejects a channel whose Gram is not finite,
 naming the bin and whether an entry is not finite or the finite entries
 overflow; all but the M x M kernel form it with one checked ``_gram``.

@@ -32,7 +32,6 @@ __all__ = [
     "FrameConfig",
     "SymbolFrame",
     "ReceivedFrame",
-    "constellation_points",
     "generate_symbols",
     "transmit",
     "to_frequency_domain",

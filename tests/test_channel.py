@@ -198,11 +198,15 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "name, value",
         [("num_antennas", 8.0), ("num_users", 2.0), ("frame_len", 32.5), ("channel_len", 5.0),
-         ("seed", 2.0)],
+         ("seed", 2.0), ("num_users", True), ("seed", True)],
     )
     def test_non_integer_count_rejected(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
             small_config(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = small_config(num_antennas=np.int64(4), channel_len=np.uint8(5), seed=np.int32(7))
+        assert draw_channel(cfg).taps.shape == (4, 2, 5)
 
 
 class TestToBinChannels:

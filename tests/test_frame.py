@@ -392,6 +392,8 @@ class TestFrameConfig:
             FrameConfig(frame_len=16.5, cp_len=4)
         with pytest.raises(ValueError, match=r"^cp_len must be an integer, got 4\.0$"):
             FrameConfig(frame_len=16, cp_len=4.0)
+        with pytest.raises(ValueError, match=r"^cp_len must be an integer, got True$"):
+            FrameConfig(frame_len=16, cp_len=True)
 
     def test_bad_constellation(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,24 @@ from fdmud.numerics import DegenerateScaleError
 from conftest import edit_sweep_statistics, frame_statistics, kill_column
 
 
+def conditional_error(kind, gram, sigma_w2):
+    """Per-bin, per-user error variance of ``kind``'s unbiased estimate, given G = A^H A.
+
+    Unit-power symbols and noise of variance ``sigma_w2`` per antenna: MRC-MMSE
+    errs by (1 - d) / d with d = 1 - sigma^2 [(G + sigma^2 I)^-1]_kk, ZF by
+    sigma^2 [G^-1]_kk, and TR-MRC by (sum_{j != k} |G_kj|^2 + sigma^2 G_kk) / G_kk^2.
+    """
+    diag = np.diagonal(gram, axis1=1, axis2=2).real
+    if kind is DetectorKind.HIGH_SNR_ZF:
+        return sigma_w2 * np.diagonal(np.linalg.inv(gram), axis1=1, axis2=2).real
+    if kind is DetectorKind.TR_MRC:
+        cross = np.sum(np.abs(gram) ** 2, axis=2) - diag**2
+        return (cross + sigma_w2 * diag) / diag**2
+    inv = np.linalg.inv(gram + sigma_w2 * np.eye(gram.shape[-1]))
+    d = 1.0 - sigma_w2 * np.diagonal(inv, axis1=1, axis2=2).real
+    return (1.0 - d) / d
+
+
 def itemized_mmse(m, k):
     """The six per-bin operations of the M x M formulation, summed directly."""
     return sum([k * m * m, m**3, k * m * m, k * m, k * m, k])
@@ -101,6 +119,8 @@ class TestComplexitySweep:
             complexity_sweep([4], 0)
         with pytest.raises(ValueError, match=r"^k_max must be an integer, got 2\.5$"):
             complexity_sweep([4], 2.5)
+        with pytest.raises(ValueError, match=r"^k_max must be an integer, got True$"):
+            complexity_sweep([4], True)
         for m_list, bad in (([1], 1), ([0, -5, 3], 0), ([4, -5], -5)):
             with pytest.raises(ValueError, match=rf"at least 2 to serve one user, got {bad}$"):
                 complexity_sweep(m_list, 3)
@@ -441,13 +461,15 @@ class TestRunMonteCarlo:
         for a, b in zip(by_kind[DetectorKind.MMSE], by_kind[DetectorKind.MRC_MMSE]):
             assert a == pytest.approx(b, rel=1e-6)  # >= 6 significant figures
 
-    def test_mrc_mmse_rows_match_the_conditional_sinr_of_their_channels(self):
-        # Given a frame's channel, user k's unbiased MMSE estimate at bin n
-        # errs with variance (1 - d) / d, where d = 1 - sigma^2
-        # [(G + sigma^2 I)^-1]_kk and G = A^H A.  The unitary IDFT keeps
-        # the mean over bins, so the user's conditional SINR is
-        # 1 / mean_n((1 - d) / d); a row averages it over users and frames,
-        # as the sweep averages the measured SINR.  One oracle for the noise
+    @pytest.mark.parametrize(
+        "kind", [DetectorKind.MRC_MMSE, DetectorKind.HIGH_SNR_ZF, DetectorKind.TR_MRC]
+    )
+    def test_kxk_rows_match_the_conditional_sinr_of_their_channels(self, kind):
+        # Given a frame's channel, user k's unbiased estimate at bin n errs
+        # with the variance e_kn of conditional_error.  The unitary IDFT
+        # keeps the mean over bins, so the user's conditional SINR is
+        # 1 / mean_n(e_kn); a row averages it over users and frames, as the
+        # sweep averages the measured SINR.  One oracle for the noise
         # scaling, the statistics, the unbiasing and measure_sinr together.
         #
         # The bound, derived: each bin's error is close to complex Gaussian
@@ -470,7 +492,7 @@ class TestRunMonteCarlo:
                 seed=11,
             ),
             frame=FrameConfig(frame_len=n_bins, cp_len=32),
-            detectors=(DetectorKind.MRC_MMSE,),
+            detectors=(kind,),
             snr_sweep_db=(-10.0, 0.0, 10.0),
             frames_per_point=frames,
         )
@@ -485,9 +507,8 @@ class TestRunMonteCarlo:
             for f_idx in range(frames):
                 seed = harness._stream_seed(cfg.channel.seed, p_idx, f_idx, 0)
                 a = to_bin_channels(draw_channel(replace(cfg.channel, seed=seed))).a
-                inv = np.linalg.inv(a.conj().transpose(0, 2, 1) @ a + sigma_w2 * np.eye(k_usr))
-                d = 1.0 - sigma_w2 * np.diagonal(inv, axis1=1, axis2=2).real
-                sinr.append(1.0 / np.mean((1.0 - d) / d, axis=0))
+                gram = a.conj().transpose(0, 2, 1) @ a
+                sinr.append(1.0 / np.mean(conditional_error(kind, gram, sigma_w2), axis=0))
             expected_db = 10.0 * np.log10(np.mean(sinr)) - row.input_snr_db
             assert abs(row.gain_db - expected_db) <= bound, (row.input_snr_db, row.gain_db, expected_db)
 
@@ -495,6 +516,7 @@ class TestRunMonteCarlo:
     @pytest.mark.parametrize("overrides, message", [
         (dict(frames_per_point=0), r"^frames_per_point must be at least 1$"),
         (dict(frames_per_point=2.5), r"^frames_per_point must be an integer, got 2\.5$"),
+        (dict(frames_per_point=True), r"^frames_per_point must be an integer, got True$"),
         (dict(snr_sweep_db=()), r"^snr_sweep_db must be nonempty$"),
         (dict(detectors=()), r"^at least one detector kind is required$"),
         (dict(detectors=(DetectorKind.TR_MRC, "mrc_mmse")),
